@@ -267,8 +267,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             seed=args.seed,
             trials=args.trials,
             tol=args.tol,
-            output_path=args.output,
-            format=args.format,
             threads=args.threads,
         )
     except ValueError as exc:

@@ -34,13 +34,7 @@ import numpy as np
 from scipy.special import rgamma
 
 from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
-from .zonal import (
-    Partition,
-    c_kappa_identity,
-    monomial_symmetric,
-    multivariate_gamma,
-    zonal_table,
-)
+from .zonal import c_kappa_identity, multivariate_gamma, zonal_layer
 
 __all__ = [
     "DomainError",
@@ -420,30 +414,6 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
-def _zonal_value(eigs: np.ndarray, parts: tuple[int, ...], memo: dict) -> float:
-    if not parts:
-        return 1.0
-    weight = sum(parts)
-    row = zonal_table(weight, min(eigs.size, weight))[parts]
-    total = 0.0
-    for lam, c in row.items():
-        v = memo.get(lam)
-        if v is None:
-            v = monomial_symmetric(eigs, Partition(lam))
-            memo[lam] = v
-        total += float(c) * v
-    return total
-
-
-def _inv_multivariate_gamma(z: float, d: int, parts: tuple[int, ...]) -> float:
-    """Reciprocal of Gamma_d(z + kappa); exactly 0 at the gamma poles."""
-    padded = parts + (0,) * (d - len(parts))
-    out = math.pi ** (-d * (d - 1) / 4.0)
-    for j in range(1, d + 1):
-        out *= float(rgamma(z + padded[j - 1] - (j - 1) / 2.0))
-    return out
-
-
 def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) -> float:
     """Density of m(n, d, d) at PD x, against the isometric Lebesgue measure.
 
@@ -466,16 +436,16 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     if shape < d - 1 - SHAPE_INTEGER_TOL:
         raise DomainError(f"full-rank density requires shape >= d-1 = {d - 1}, got {shape}")
     p = shape / 2.0
-    memo: dict = {}
+    # At the critical shape the last gamma argument of a kappa shorter than
+    # d is p - (d-1)/2 <= 0: Gamma_d has a pole there and the term vanishes.
+    at_poles = p <= (d - 1) / 2.0
 
     def layer(w: int) -> float:
-        tab = zonal_table(w, min(d, w))
         total = 0.0
-        for kappa in tab:
-            inv_gamma = _inv_multivariate_gamma(p, d, kappa)
-            if inv_gamma == 0.0:
+        for kappa, c in zonal_layer(eigs, w).items():
+            if at_poles and len(kappa) < d:
                 continue
-            total += _zonal_value(eigs, kappa, memo) * inv_gamma
+            total += c * math.exp(-multivariate_gamma(p, d, kappa, log=True))
         return total / math.factorial(w)
 
     series = _sum_weight_layers(layer, policy)
@@ -483,42 +453,32 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     return 2.0 ** (-d * (d - 1) / 4.0) * math.exp((p - (d + 1) / 2.0) * log_det) * series
 
 
-def density_fd(t, policy: TruncationPolicy | None = None, stable: bool = True) -> float:
+def density_fd(t, policy: TruncationPolicy | None = None) -> float:
     """Interior density f_d at PD t for the critical shape n = d - 1.
 
         f_d(t) = 2^(-d(d-1)/4) * (det t)^(-1) * sum over full-length kappa of
                  C_kappa(t) / (|kappa|! Gamma_d(kappa + (d-1)/2))
 
     against the same isometric Lebesgue measure as
-    :func:`density_m_fullrank`.  The stable route rewrites each term
-    through the minor-shift identity
+    :func:`density_m_fullrank`.  Each term is rewritten through the
+    minor-shift identity
     C_kappa(t) (det t)^(-1) = [C_kappa(I)/C_{kappa-1}(I)] C_{kappa-1}(t)
     with kappa-1 the partition lowered by one in every row, avoiding the
-    explicit determinant power; stable=False evaluates the raw series via
-    :func:`density_m_fullrank` at shape d - 1 for cross-checking.
+    explicit determinant power.
     """
     policy = policy or TruncationPolicy()
     eigs = _pd_eigenvalues(t, "t")
     d = eigs.size
     if d < 2:
         raise DomainError("the boundary decomposition needs d >= 2")
-    if not stable:
-        return density_m_fullrank(t, float(d - 1), policy)
     z = (d - 1) / 2.0
-    memo: dict = {}
 
     def layer(w: int) -> float:
-        if w < d:
-            return 0.0
-        tab = zonal_table(w, d)
         total = 0.0
-        for kappa in tab:
-            if len(kappa) != d:
-                continue
-            lowered = tuple(p - 1 for p in kappa if p > 1)
+        for lowered, c in zonal_layer(eigs, w - d).items():
+            kappa = tuple(m + 1 for m in lowered) + (1,) * (d - len(lowered))
             ratio = c_kappa_identity(kappa, d) / c_kappa_identity(lowered, d)
-            log_gamma = multivariate_gamma(z, d, Partition(kappa), log=True)
-            total += float(ratio) * _zonal_value(eigs, lowered, memo) * math.exp(-log_gamma)
+            total += float(ratio) * c * math.exp(-multivariate_gamma(z, d, kappa, log=True))
         return total / math.factorial(w)
 
     return 2.0 ** (-d * (d - 1) / 4.0) * _sum_weight_layers(layer, policy, start=d)
@@ -541,13 +501,9 @@ def lt_fd_series(s, dim: int, policy: TruncationPolicy | None = None) -> float:
     """
     policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-    memo: dict = {}
 
     def layer(w: int) -> float:
-        if w < dim:
-            return 0.0
-        tab = zonal_table(w, dim)
-        total = sum(_zonal_value(inv_eigs, kappa, memo) for kappa in tab if len(kappa) == dim)
+        total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if len(kappa) == dim)
         return total / math.factorial(w)
 
     return prefactor * _sum_weight_layers(layer, policy, start=dim)
@@ -566,11 +522,9 @@ def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> f
     """
     policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-    memo: dict = {}
 
     def layer(w: int) -> float:
-        tab = zonal_table(w, min(dim, w))
-        total = sum(_zonal_value(inv_eigs, kappa, memo) for kappa in tab if len(kappa) < dim)
+        total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if len(kappa) < dim)
         return total / math.factorial(w)
 
     return prefactor * _sum_weight_layers(layer, policy)

@@ -158,7 +158,7 @@ class Report:
             doc["timing"] = self.timing
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    def to_csv(self, include_timing: bool = True) -> str:
+    def to_csv(self) -> str:
         out = io.StringIO()
         out.write("name,value,expected,tolerance,pass,provenance,detail\n")
         for r in self.results:

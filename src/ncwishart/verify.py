@@ -90,15 +90,11 @@ class RunConfig:
     trials: int = 10_000
     trunc: TruncationPolicy = TruncationPolicy()
     tol: float = 1e-8
-    output_path: str | None = None
-    format: str = "json"
     threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be json or csv")
         if self.threads is not None and self.threads < 1:
             raise ValueError("threads must be >= 1")
 

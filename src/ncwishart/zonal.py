@@ -39,6 +39,7 @@ __all__ = [
     "monomial_symmetric",
     "zonal_table",
     "zonal_monomial_coeffs",
+    "zonal_layer",
     "zonal_C",
     "zonal_C_at_identity",
     "c_kappa_identity",
@@ -403,17 +404,64 @@ def monomial_symmetric(values: Sequence[float], lam: Partition | Iterable[int]) 
     return rec(tuple(range(d)), 0)
 
 
+_LAYERS: dict[tuple[int, int], tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _layer_data(weight: int, d: int) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
+    """Cached evaluation data of one weight layer in dimension d.
+
+    Returns the kappas in table order, the float64 coefficient matrix
+    (kappa x lam), the exponents of every composition of *weight* into d
+    slots (one column per composition) and, for each composition, the
+    column index of the partition it sorts to.  m_lam(x) is the sum of
+    prod_i x_i^a_i over the compositions a that sort to lam.
+    """
+    key = (weight, d)
+    data = _LAYERS.get(key)
+    if data is not None:
+        return data
+    tab = zonal_table(weight, min(d, weight))
+    # stars and bars: d - 1 bar positions among weight + d - 1 places
+    n_comps = math.comb(weight + d - 1, d - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(weight + d - 1), d - 1)),
+        dtype=np.int64,
+        count=n_comps * (d - 1),
+    ).reshape(n_comps, d - 1)
+    comps = np.diff(bars, axis=1, prepend=-1, append=weight + d - 1) - 1
+    lams, lam_index = np.unique(-np.sort(-comps, axis=1), axis=0, return_inverse=True)
+    lam_keys = [tuple(int(a) for a in row if a) for row in lams]
+    kappas = list(tab)
+    coeff = np.array([[float(tab[k].get(lam, 0.0)) for lam in lam_keys] for k in kappas])
+    data = (kappas, coeff, comps.T.astype(np.min_scalar_type(weight)), lam_index)
+    _LAYERS[key] = data
+    return data
+
+
+def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
+    """C_kappa(x) for every kappa of *weight* with at most d parts.
+
+    x is a symmetric matrix or its eigenvalue vector of length d.  All
+    monomials m_lam(x) of the weight come from one gather-and-product over
+    the compositions of the weight into d slots; the cached float copy of
+    :func:`zonal_table` turns them into the C_kappa values.
+    """
+    eigs = _eigenvalues_of(x)
+    d = eigs.size
+    kappas, coeff, exps, lam_index = _layer_data(weight, d)
+    powers = eigs[:, None] ** np.arange(weight + 1)
+    terms = np.prod(powers[np.arange(d)[:, None], exps], axis=0)
+    mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
+    return dict(zip(kappas, (coeff @ mono).tolist()))
+
+
 def zonal_C(x, kappa: Partition | Iterable[int]) -> float:
     """C_kappa evaluated at a symmetric matrix or an eigenvalue vector."""
     kap = Partition.of(kappa)
     eigs = _eigenvalues_of(x)
-    d = eigs.size
-    if kap.length > d:
+    if kap.length > eigs.size:
         return 0.0
-    if kap.weight == 0:
-        return 1.0
-    row = zonal_table(kap.weight, min(d, kap.weight))[kap.parts]
-    return float(sum(float(c) * monomial_symmetric(eigs, Partition(lam)) for lam, c in row.items()))
+    return zonal_layer(eigs, kap.weight)[kap.parts]
 
 
 def zonal_C_at_identity(kappa: Partition | Iterable[int], d: int) -> Fraction | float:
@@ -533,21 +581,7 @@ def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     if weight_cutoff < 0:
         raise ValueError("weight_cutoff must be >= 0")
     eigs = _eigenvalues_of(x)
-    d = eigs.size
-    mono: dict[tuple, float] = {}
-    total = 0.0
-    for w in range(weight_cutoff + 1):
-        tab = zonal_table(w, min(d, w))
-        layer = 0.0
-        for row in tab.values():
-            for lam, c in row.items():
-                mv = mono.get(lam)
-                if mv is None:
-                    mv = monomial_symmetric(eigs, Partition(lam))
-                    mono[lam] = mv
-                layer += float(c) * mv
-        total += layer / math.factorial(w)
-    return total
+    return sum(sum(zonal_layer(eigs, w).values()) / math.factorial(w) for w in range(weight_cutoff + 1))
 
 
 # ---------------------------------------------------------------------------

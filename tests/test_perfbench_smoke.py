@@ -1,0 +1,23 @@
+"""Smoke test: the benchmark harness runs end to end at its smallest size."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_series_workload_runs_tiny():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "series", "--seed", "0",
+         "--seconds", "1", "--trace", "0", "--tiny"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -18,6 +18,7 @@ from ncwishart import (
     pochhammer_kappa,
     zonal_C,
     zonal_C_at_identity,
+    zonal_layer,
     zonal_monomial_coeffs,
 )
 from ncwishart.zonal import CACHE_ENV_VAR, monomial_symmetric, partitions_of_weight, zonal_table
@@ -124,6 +125,48 @@ def test_zonal_c_homogeneity_and_matrix_agreement(rng):
     # longer partition than the dimension evaluates to zero
     assert zonal_C(np.eye(2), (1, 1, 1)) == 0.0
     assert zonal_C(np.eye(2), ()) == 1.0
+
+
+def _layer_reference(eigs, weight):
+    tab = zonal_table(weight, min(eigs.size, weight))
+    return {
+        kappa: sum(float(c) * monomial_symmetric(eigs, lam) for lam, c in row.items())
+        for kappa, row in tab.items()
+    }
+
+
+@given(
+    d=st.integers(min_value=1, max_value=5),
+    weight=st.integers(min_value=0, max_value=20),
+    data=st.data(),
+)
+def test_zonal_layer_matches_table_times_monomials(d, weight, data):
+    eigs = np.array(
+        data.draw(st.lists(st.floats(min_value=0.01, max_value=3.0), min_size=d, max_size=d))
+    )
+    got = zonal_layer(eigs, weight)
+    ref = _layer_reference(eigs, weight)
+    assert got.keys() == ref.keys()
+    for kappa, value in ref.items():
+        assert got[kappa] == pytest.approx(value, rel=1e-12)
+
+
+def test_zonal_layer_edge_cases():
+    eigs = np.array([0.5, 1.5, 2.0])
+    assert zonal_layer(eigs, 0) == {(): 1.0}
+    # one coordinate: the single partition (w,) carries the whole power
+    assert zonal_layer([0.7], 5) == pytest.approx({(5,): 0.7**5}, rel=1e-15)
+    assert (2, 1, 1, 1) not in zonal_layer(eigs, 5)
+    assert zonal_C(eigs, (2, 1, 1, 1)) == 0.0
+    # float tables beyond the exact range
+    weight = zonal.FRACTION_MAX_WEIGHT + 2
+    eigs2 = np.array([0.4, 1.1])
+    got = zonal_layer(eigs2, weight)
+    for kappa, value in _layer_reference(eigs2, weight).items():
+        assert got[kappa] == pytest.approx(value, rel=1e-12)
+    assert sum(got.values()) == pytest.approx(1.5**weight, rel=1e-12)
+    with pytest.raises(ValueError):
+        zonal_layer(eigs, -1)
 
 
 def test_identity_values_match_closed_form():
