@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import rgamma
 
 from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
-from .zonal import c_kappa_identity, multivariate_gamma, zonal_layer
+from .zonal import multivariate_gamma, zonal_layer
 
 __all__ = [
     "DomainError",
@@ -107,11 +107,11 @@ class TruncationPolicy:
             raise ValueError("max_weight must be >= 0")
 
 
-def _sum_weight_layers(layer: Callable[[int], float], policy: TruncationPolicy, start: int = 0) -> float:
+def _sum_weight_layers(layer: Callable[[int], float], policy: TruncationPolicy) -> float:
     total = 0.0
     small_run = 0
     last_rel = math.inf
-    for w in range(start, policy.max_weight + 1):
+    for w in range(policy.max_weight + 1):
         value = layer(w)
         total += value
         if policy.mode is TruncationMode.FIXED:
@@ -298,11 +298,19 @@ def exists_ncw(params: NcwParams, tol: float | None = None) -> ExistenceVerdict:
 # Laplace transforms
 
 
+def _exp_in_range(log_value: float) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"the transform exceeds the double range: its log is {log_value:.6g}") from None
+
+
 def laplace_ncw(s, params: NcwParams) -> float:
     """Laplace transform of NCW(n, w, sigma) at the symmetric matrix s.
 
     Requires I + 2 sigma s to be positive definite (always true for s in
-    the closed cone); raises DomainError otherwise.
+    the closed cone); raises DomainError otherwise, and when the value
+    exceeds the double range.
     """
     s = sym_entries(s, "s")
     d = params.dim
@@ -318,13 +326,14 @@ def laplace_ncw(s, params: NcwParams) -> float:
     a = np.eye(d) + 2.0 * params.sigma @ s
     x = np.linalg.solve(a, params.w)
     trace_term = 2.0 * float(np.trace(s @ x))
-    return math.exp(-(params.shape / 2.0) * logdet - trace_term)
+    return _exp_in_range(-(params.shape / 2.0) * logdet - trace_term)
 
 
 def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     """Laplace transform of m(n, k, d) at a positive definite s.
 
     (det s)^(-n/2) * exp(sum of the k trailing diagonal entries of s^(-1)).
+    Raises DomainError when the value exceeds the double range.
     """
     spec = MeasureSpec.of(spec)
     s = sym_entries(s, "s")
@@ -337,7 +346,7 @@ def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     logdet = float(np.sum(np.log(eigs)))
     inv = np.linalg.inv(s)
     trace_term = float(np.trace(inv[d - spec.rank :, d - spec.rank :])) if spec.rank else 0.0
-    return math.exp(-(spec.shape / 2.0) * logdet + trace_term)
+    return _exp_in_range(-(spec.shape / 2.0) * logdet + trace_term)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -460,28 +469,13 @@ def density_fd(t, policy: TruncationPolicy | None = None) -> float:
                  C_kappa(t) / (|kappa|! Gamma_d(kappa + (d-1)/2))
 
     against the same isometric Lebesgue measure as
-    :func:`density_m_fullrank`.  Each term is rewritten through the
-    minor-shift identity
-    C_kappa(t) (det t)^(-1) = [C_kappa(I)/C_{kappa-1}(I)] C_{kappa-1}(t)
-    with kappa-1 the partition lowered by one in every row, avoiding the
-    explicit determinant power.
+    :func:`density_m_fullrank`.  It is the full-rank density at the shape
+    d - 1, where the gamma poles remove every kappa shorter than d.
     """
-    policy = policy or TruncationPolicy()
-    eigs = _pd_eigenvalues(t, "t")
-    d = eigs.size
+    d = _pd_eigenvalues(t, "t").size
     if d < 2:
         raise DomainError("the boundary decomposition needs d >= 2")
-    z = (d - 1) / 2.0
-
-    def layer(w: int) -> float:
-        total = 0.0
-        for lowered, c in zonal_layer(eigs, w - d).items():
-            kappa = tuple(m + 1 for m in lowered) + (1,) * (d - len(lowered))
-            ratio = c_kappa_identity(kappa, d) / c_kappa_identity(lowered, d)
-            total += float(ratio) * c * math.exp(-multivariate_gamma(z, d, kappa, log=True))
-        return total / math.factorial(w)
-
-    return 2.0 ** (-d * (d - 1) / 4.0) * _sum_weight_layers(layer, policy, start=d)
+    return density_m_fullrank(t, d - 1, policy)
 
 
 def _split_series_at_inverse(s, dim: int) -> tuple[np.ndarray, float]:
@@ -506,7 +500,7 @@ def lt_fd_series(s, dim: int, policy: TruncationPolicy | None = None) -> float:
         total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if len(kappa) == dim)
         return total / math.factorial(w)
 
-    return prefactor * _sum_weight_layers(layer, policy, start=dim)
+    return prefactor * _sum_weight_layers(layer, policy)
 
 
 def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> float:
@@ -532,7 +526,6 @@ def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> f
 
 # ---------------------------------------------------------------------------
 # Explicit d = 2 critical shape and d = 1 formulas
-
 
 def m122_laplace_cone(a: float, b: float, c: float) -> float:
     """Closed-form transform of m(1, 2, 2) at s = [[a+b, c], [c, a-b]].
@@ -561,7 +554,7 @@ def m122_singular_density(y: float, z: float) -> float:
     return (2.0 / (math.pi * u)) * math.cosh(2.0 * math.sqrt(u))
 
 
-def m122_ac_density(p, y: float | None = None, z: float | None = None, rel_tol: float = 1e-12) -> float:
+def m122_ac_density(p, y: float | None = None, z: float | None = None) -> float:
     """Interior density of m(1, 2, 2) in cone coordinates, against dx dy dz.
 
     Accepts a ConePoint2 or three coordinates.  With q = x^2 - y^2 - z^2
@@ -582,6 +575,7 @@ def m122_ac_density(p, y: float | None = None, z: float | None = None, rel_tol: 
     quad = x * x - y * y - z * z
     if x < 0 or quad < 0:
         raise DomainError("(x, y, z) lies outside the closed cone x >= sqrt(y^2 + z^2)")
+    rel_tol = 1e-12  # both series stop at the first term within this share of their sum
     total = 0.0
     q_term = 1.0  # q^k / (k! (k+1)!)
     for k in range(200):
@@ -612,6 +606,9 @@ def m111_density(lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Derivative identities behind the d = 2 interior density
+
+# Finite-difference step of the stencil cross-check in faa_di_bruno_check.
+_FD_STEP = 0.25
 
 
 def _as_fraction(v: int | float | Fraction) -> Fraction:
@@ -711,7 +708,7 @@ class FaaDiBrunoCheck:
         return self.closed_full == self.direct_full and self.closed_reduced == self.direct_reduced
 
 
-def faa_di_bruno_check(n: int, point: ConePoint2 | Sequence, fd_step: float = 0.25) -> FaaDiBrunoCheck:
+def faa_di_bruno_check(n: int, point: ConePoint2 | Sequence) -> FaaDiBrunoCheck:
     """Compare the composite-derivative closed forms against exact expansion.
 
     For q(x) = x^2 - offset the n-th x-derivatives of q^n and q^(n-1)
@@ -741,7 +738,7 @@ def faa_di_bruno_check(n: int, point: ConePoint2 | Sequence, fd_step: float = 0.
     closed_reduced = _faa_closed_reduced(n, xf, off)
     fd_errs = []
     for power, closed in ((n, closed_full), (n - 1, closed_reduced)):
-        fd = _fd_nth_derivative(power, n, float(xf), float(off), fd_step)
+        fd = _fd_nth_derivative(power, n, float(xf), float(off), _FD_STEP)
         scale = max(abs(float(closed)), 1.0)
         fd_errs.append(abs(fd - float(closed)) / scale)
     return FaaDiBrunoCheck(

@@ -270,26 +270,19 @@ def empirical_laplace(draws: np.ndarray, s) -> McEstimate:
     return _mc_mean(np.exp(-_trace_pairing(draws, s)))
 
 
-def weighted_laplace_estimate(
-    sample: WeightedSample, s, allow_unsafe: bool = False
-) -> McEstimate:
+def weighted_laplace_estimate(sample: WeightedSample, s) -> McEstimate:
     """Importance estimate of the integral of exp(-tr(s x)) against the target.
 
     The m(n, k, d) weights grow like e^(tr x / 2), so the estimator has
     finite variance only for s > I_d / 2; outside that domain the call is
-    refused.  allow_unsafe=True skips the check for exploratory use (the
-    returned standard error is then untrustworthy).
+    refused.
     """
     s = sym_entries(s, "s")
     if s.shape[0] != sample.dim:
         raise ValueError("s dimension does not match the sample")
-    if not allow_unsafe:
-        gap = np.linalg.eigvalsh(s - 0.5 * np.eye(sample.dim))
-        if gap[0] <= 0.0:
-            raise DomainError(
-                "weighted Laplace estimates need s > I/2; "
-                "pass allow_unsafe=True to override"
-            )
+    gap = np.linalg.eigvalsh(s - 0.5 * np.eye(sample.dim))
+    if gap[0] <= 0.0:
+        raise DomainError("weighted Laplace estimates need s > I/2")
     vals = np.exp(sample.log_weights - _trace_pairing(sample.draws, s))
     return _mc_mean(vals)
 
@@ -320,14 +313,14 @@ class RankHistogram:
         return sum(c for r, c in self.counts.items() if r != rank)
 
 
-def _rank_histogram(draws: np.ndarray, tol: float) -> RankHistogram:
+def _rank_histogram(draws: np.ndarray) -> RankHistogram:
     eigs = np.linalg.eigvalsh(draws)
-    thresh = tol * np.maximum(1.0, eigs[:, -1])[:, None]
+    thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
     ranks = np.count_nonzero(eigs > thresh, axis=1)
     values, counts = np.unique(ranks, return_counts=True)
     quantiles = np.quantile(eigs, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
     return RankHistogram(
-        {int(r): int(c) for r, c in zip(values, counts)}, quantiles, tol
+        {int(r): int(c) for r, c in zip(values, counts)}, quantiles, RANK_EVENT_TOL
     )
 
 
@@ -338,16 +331,15 @@ def subspace_intersection_experiment(
     trials: int,
     rng: np.random.Generator,
     degenerate_control: bool = False,
-    tol: float = RANK_EVENT_TOL,
 ) -> float:
     """Estimated probability that a Gaussian k-plane meets a fixed n-plane.
 
     F is the span of the first n coordinates; G is spanned by k independent
     standard Gaussian vectors.  A hit means dim(F + G) < n + k, detected by
-    the smallest singular value of the stacked basis falling below tol
-    (relative to the largest).  For k <= d - n the hit probability is 0.
-    degenerate_control=True zeroes the Gaussian components outside F, which
-    forces every trial to hit.
+    the smallest singular value of the stacked basis falling below
+    RANK_EVENT_TOL (relative to the largest).  For k <= d - n the hit
+    probability is 0.  degenerate_control=True zeroes the Gaussian
+    components outside F, which forces every trial to hit.
     """
     if not 1 <= n < d:
         raise ValueError("need 1 <= n < d")
@@ -362,7 +354,7 @@ def subspace_intersection_experiment(
         [np.broadcast_to(np.eye(d)[:n], (trials, n, d)), g], axis=1
     )
     svals = np.linalg.svd(stacked, compute_uv=False)
-    cutoff = tol * np.maximum(1.0, svals[:, 0])
+    cutoff = RANK_EVENT_TOL * np.maximum(1.0, svals[:, 0])
     hits = int(np.count_nonzero(svals[:, n + k - 1] <= cutoff))
     return hits / trials
 
@@ -380,7 +372,6 @@ def rank_additivity_experiment(
     y0,
     trials: int,
     rng: np.random.Generator,
-    tol: float = RANK_EVENT_TOL,
 ) -> RankHistogram:
     """Rank histogram of x0 + u y0 u^T over Haar-random orthogonal u.
 
@@ -397,7 +388,7 @@ def rank_additivity_experiment(
     u = haar_orthogonal_batch(d, trials, rng)
     rotated = np.einsum("bij,jk,blk->bil", u, b, u)
     sums = a[None, :, :] + 0.5 * (rotated + rotated.transpose(0, 2, 1))
-    return _rank_histogram(sums, tol)
+    return _rank_histogram(sums)
 
 
 def convolution_support_experiment(
@@ -405,7 +396,6 @@ def convolution_support_experiment(
     b: int,
     trials: int,
     rng: np.random.Generator,
-    tol: float = RANK_EVENT_TOL,
 ) -> RankHistogram:
     """Rank histogram of X + Z with X drawn for m(spec_a), Z central of shape b.
 
@@ -427,4 +417,4 @@ def convolution_support_experiment(
         total = total + ncw_sample(
             NcwParams(float(b), np.zeros((d, d))), trials, rng
         )
-    return _rank_histogram(total, tol)
+    return _rank_histogram(total)

@@ -57,9 +57,9 @@ from .symcore import haar_orthogonal
 from .zonal import (
     c_kappa_identity,
     partitions_of_weight,
-    zonal_C,
     zonal_C_at_identity,
     zonal_lemma_checks,
+    zonal_layer,
 )
 
 __all__ = [
@@ -183,9 +183,8 @@ def check_zonal_sum_rule(config: RunConfig) -> list[CheckRecord]:
         rng = _rng(config, 2, d)
         spectra = rng.uniform(0.0, 3.0, size=(n_spectra, d))
         for k in range(1, 7):
-            parts = partitions_of_weight(k, min(k, d))
             for eigs in spectra:
-                total = sum(zonal_C(eigs, kap) for kap in parts)
+                total = sum(zonal_layer(eigs, k).values())
                 target = float(np.sum(eigs)) ** k
                 worst = max(worst, abs(total - target) / target)
     return [
@@ -305,6 +304,14 @@ def m111_lt_quadrature(s: float) -> float:
     return val
 
 
+# The rule of m122_lt_quadrature: Gauss-Legendre panels in rho and in x,
+# with _QUAD_ORDER points each, and _QUAD_N_THETA trapezoid points in angle.
+_QUAD_N_RHO = 18
+_QUAD_N_X = 18
+_QUAD_ORDER = 8
+_QUAD_N_THETA = 64
+
+
 def _panel_rule(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     base_x, base_w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
@@ -317,15 +324,7 @@ def _panel_rule(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def m122_lt_quadrature(
-    a: float,
-    b: float,
-    c: float,
-    n_rho: int = 18,
-    n_x: int = 18,
-    n_theta: int = 64,
-    order: int = 8,
-) -> float:
+def m122_lt_quadrature(a: float, b: float, c: float) -> float:
     """3-D quadrature of the decomposed m(1, 2, 2) transform.
 
     Integrates exp(-2(ax + by + cz)) against the singular sheet plus the
@@ -341,10 +340,10 @@ def m122_lt_quadrature(
     rho_max = 9.0 / margin
     x_tail = 9.0 / a + 8.0 / (a * a)
 
-    theta = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _QUAD_N_THETA, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-    rho, w_rho = _panel_rule(0.0, rho_max, n_rho, order)
+    rho, w_rho = _panel_rule(0.0, rho_max, _QUAD_N_RHO, _QUAD_ORDER)
     # angular factor integral(exp(-2 rho (b cos + c sin))) d theta
     ang = (2.0 * math.pi) * np.exp(
         -2.0 * rho[:, None] * (b * cos_t + c * sin_t)[None, :]
@@ -360,7 +359,7 @@ def m122_lt_quadrature(
         )
     )
 
-    t_nodes, w_t = _panel_rule(0.0, x_tail, n_x, order)
+    t_nodes, w_t = _panel_rule(0.0, x_tail, _QUAD_N_X, _QUAD_ORDER)
     interior = 0.0
     for r, wr, angle in zip(rho, w_rho, ang):
         xs = r + t_nodes

@@ -499,17 +499,18 @@ def _rising(base, m: int):
     return out
 
 
-def pochhammer_kappa(p, kappa: Partition | Iterable[int], d: int | None = None, allow_outside_domain: bool = False):
+def pochhammer_kappa(p, kappa: Partition | Iterable[int], d: int | None = None):
     """Partitional Pochhammer symbol (p)_kappa = prod_j (p - (j-1)/2)_{m_j}.
 
-    Fraction inputs stay exact.  When *d* is given, p > (d-1)/2 is enforced
-    unless *allow_outside_domain*; outside that half-line the product is
-    still a polynomial in p but no longer a gamma-function ratio.
+    Fraction inputs stay exact.  When *d* is given, p > (d-1)/2 is enforced:
+    outside that half-line the product is still a polynomial in p but no
+    longer a gamma-function ratio.  Without *d* the polynomial is returned
+    for any p.
     """
     kap = Partition.of(kappa)
     if d is not None and kap.length > d:
         raise ValueError(f"partition longer than d={d}")
-    if d is not None and not allow_outside_domain:
+    if d is not None:
         threshold = Fraction(d - 1, 2) if isinstance(p, Fraction) else (d - 1) / 2.0
         if not p > threshold:
             raise ValueError(f"p must exceed (d-1)/2 = {threshold}")
@@ -542,7 +543,7 @@ def c_kappa_identity(kappa: Partition | Iterable[int], d: int) -> Fraction:
     m = kap.parts
     l = len(m)
     num = Fraction(4) ** k * math.factorial(k)
-    num *= pochhammer_kappa(Fraction(d, 2), kap, allow_outside_domain=True)
+    num *= pochhammer_kappa(Fraction(d, 2), kap)
     for i in range(l):
         for j in range(i + 1, l):
             num *= 2 * m[i] - 2 * m[j] - (i + 1) + (j + 1)
@@ -665,12 +666,15 @@ class McEstimate:
     n_samples: int
 
 
+# Haar rotations per batch in phi_kappa_mc; it bounds the working arrays.
+_MC_BATCH = 1024
+
+
 def phi_kappa_mc(
     x,
     kappa: Partition | Iterable[int] | Sequence[float],
     n_samples: int,
     rng: np.random.Generator,
-    batch_size: int = 1024,
 ) -> McEstimate:
     """Haar average Phi_kappa(x) = E[Delta_kappa(u x u^T)], u Haar on O(d).
 
@@ -685,7 +689,7 @@ def phi_kappa_mc(
     vals = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        b = min(batch_size, n_samples - done)
+        b = min(_MC_BATCH, n_samples - done)
         u = haar_orthogonal_batch(d, b, rng)
         y = u @ a @ np.swapaxes(u, -1, -2)
         vals[done : done + b] = _delta_batch(y, exps)

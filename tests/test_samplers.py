@@ -143,8 +143,6 @@ def test_weighted_estimator_variance_guard(rng):
     risky = 0.4 * np.eye(2)
     with pytest.raises(DomainError):
         weighted_laplace_estimate(sample, risky)
-    est = weighted_laplace_estimate(sample, risky, allow_unsafe=True)
-    assert math.isfinite(est.estimate) and est.std_error > 0
 
 
 def test_m_measure_seed_reproducibility():

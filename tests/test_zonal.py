@@ -190,14 +190,25 @@ def test_identity_values_match_closed_form():
                 assert zonal_C_at_identity(kap, d) == c_kappa_identity(kap, d)
 
 
+def test_minor_shift_identity(rng):
+    # C_kappa(t) = [C_kappa(I) / C_{kappa-1}(I)] det t C_{kappa-1}(t) for
+    # full-length kappa, with kappa - 1 the partition lowered by one in every row
+    for d in (2, 3, 4):
+        for eigs in rng.uniform(0.2, 2.5, size=(20, d)):
+            det = float(np.prod(eigs))
+            for weight in range(13):
+                full = zonal_layer(eigs, weight + d)
+                for lowered, c in zonal_layer(eigs, weight).items():
+                    kappa = tuple(m + 1 for m in lowered) + (1,) * (d - len(lowered))
+                    ratio = float(c_kappa_identity(kappa, d) / c_kappa_identity(lowered, d))
+                    assert full[kappa] == pytest.approx(ratio * det * c, rel=1e-12)
+
+
 def test_pochhammer_kappa_exact_and_domain():
     assert pochhammer_kappa(F(3, 2), (2, 1)) == F(15, 4)
     assert pochhammer_kappa(2.0, (1,)) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         pochhammer_kappa(0.5, (1,), d=3)
-    # outside the gamma-ratio domain the polynomial is still defined on request
-    val = pochhammer_kappa(0.5, (1,), d=3, allow_outside_domain=True)
-    assert val == pytest.approx(0.5)
     with pytest.raises(ValueError):
         pochhammer_kappa(1.0, (1, 1, 1), d=2)
 
