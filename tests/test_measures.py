@@ -31,6 +31,7 @@ from ncwishart import (
     reduce_to_canonical,
     singular_r_laplace,
 )
+from ncwishart.zonal import c_kappa_identity, multivariate_gamma, zonal_layer
 
 
 def spd(rng, d, lo=0.5, hi=2.5):
@@ -232,6 +233,28 @@ def test_density_fullrank_domain():
         density_m_fullrank(np.eye(3), 1.5)  # below the critical shape
     with pytest.raises(DomainError):
         density_m_fullrank(np.diag([1.0, 0.0]), 3.0)
+
+
+def _fd_by_minor_shift(t, max_lowered_weight=30):
+    # f_d summed over lowered partitions kappa - 1 of weight w - d, each term
+    # rewritten by C_kappa(t) (det t)^(-1) = [C_kappa(I)/C_{kappa-1}(I)] C_{kappa-1}(t)
+    eigs = np.linalg.eigvalsh(t)
+    d = eigs.size
+    total = 0.0
+    for v in range(max_lowered_weight + 1):
+        for lowered, c in zonal_layer(eigs, v).items():
+            kappa = tuple(m + 1 for m in lowered) + (1,) * (d - len(lowered))
+            ratio = c_kappa_identity(kappa, d) / c_kappa_identity(lowered, d)
+            log_gamma = multivariate_gamma((d - 1) / 2.0, d, kappa, log=True)
+            total += float(ratio) * c * math.exp(-log_gamma - math.lgamma(v + d + 1))
+    return 2.0 ** (-d * (d - 1) / 4.0) * total
+
+
+def test_density_fd_stable_route_matches_raw_series(rng):
+    for d in (2, 3):
+        for _ in range(3):
+            t = spd(rng, d, 0.4, 2.0)
+            assert density_fd(t) == pytest.approx(_fd_by_minor_shift(t), rel=1e-9)
     with pytest.raises(DomainError):
         density_fd(np.array([[1.0]]))  # the boundary density needs d >= 2
 
