@@ -192,7 +192,10 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
         if not verdict:
             raise UsageError(f"refusing: {verdict.clause}")
         spec = MeasureSpec(args.two_p, args.k, d)
-        value = laplace_m(s, spec)
+        try:
+            value = laplace_m(s, spec)
+        except DomainError as exc:
+            raise UsageError(str(exc)) from exc
         report.inputs["k"] = args.k
         name = "laplace-m"
         if args.mc_check:
@@ -214,7 +217,10 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
         verdict = exists_ncw(params)
         if not verdict:
             raise UsageError(f"refusing: {verdict.clause}")
-        value = laplace_ncw(s, params)
+        try:
+            value = laplace_ncw(s, params)
+        except DomainError as exc:
+            raise UsageError(str(exc)) from exc
         name = "laplace-ncw"
         if args.mc_check:
             try:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import rgamma
+from scipy.special import ive
 
 from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
 from .zonal import multivariate_gamma, zonal_layer
@@ -554,11 +554,15 @@ def m122_singular_density(y: float, z: float) -> float:
     return (2.0 / (math.pi * u)) * math.cosh(2.0 * math.sqrt(u))
 
 
-def m122_ac_density(p, y: float | None = None, z: float | None = None) -> float:
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
+
+def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
     """Interior density of m(1, 2, 2) in cone coordinates, against dx dy dz.
 
-    Accepts a ConePoint2 or three coordinates.  With q = x^2 - y^2 - z^2
-    the density is the double series
+    Accepts a ConePoint2 or three coordinates, which may be arrays that
+    broadcast together; scalar input gives a float, array input an ndarray.
+    With q = x^2 - y^2 - z^2 the density is the double series
 
         (2 / sqrt(pi)) sum_{k>=0} q^k / (k! (k+1)!)
                        sum_{m>=0} (2x)^m / (m! Gamma(m + 2k + 5/2)),
@@ -566,35 +570,61 @@ def m122_ac_density(p, y: float | None = None, z: float | None = None) -> float:
     equal to 2*sqrt(2) times f_2 at [[x+y, z], [z, x-y]] (the constant is
     the volume ratio between dx dy dz and the isometric Lebesgue measure).
     On the boundary sheet the k = 0 terms survive, so the value there is
-    the continuous extension; outside the closed cone the call is refused.
+    the continuous extension.  A point outside the closed cone, or a
+    density beyond the double range, raises DomainError.
+
+    All points share one table g[m, k] = X^m Q^k / (m! k! (k+1)! Gamma(m +
+    2k + 5/2)), where X and Q are the call's largest 2x and q (at least 1),
+    so the sum is one matrix product of the rows (2x/X)^m with g, weighted
+    by (q/Q)^k.  No scaled power exceeds 1, and g is built from running
+    products of term ratios, so at a single point nothing leaves double
+    range before the density does.  An array whose largest x and largest q
+    belong to different points can raise near the top of the range although
+    each point alone is finite.
     """
     if y is None:
         x, y, z = p.x, p.y, p.z
     else:
-        x = float(p)
-    quad = x * x - y * y - z * z
-    if x < 0 or quad < 0:
+        x = p
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = x * x - y * y - z * z
+    if not np.isfinite(quad).all():
+        raise DomainError("the cone coordinates must be finite, with squares within the double range")
+    if (x < 0).any() or (quad < 0).any():
         raise DomainError("(x, y, z) lies outside the closed cone x >= sqrt(y^2 + z^2)")
-    rel_tol = 1e-12  # both series stop at the first term within this share of their sum
-    total = 0.0
-    q_term = 1.0  # q^k / (k! (k+1)!)
-    for k in range(200):
-        inner = 0.0
-        m_term = float(rgamma(2 * k + 2.5))  # (2x)^m / (m! Gamma(m + 2k + 5/2))
-        for m in range(2000):
-            inner += m_term
-            if m_term <= rel_tol * inner:
-                break
-            m_term *= 2.0 * x / ((m + 1) * (m + 2 * k + 2.5))
-        else:
-            raise RuntimeError("inner series did not converge")
-        total += q_term * inner
-        if q_term * inner <= rel_tol * total:
-            break
-        q_term *= quad / ((k + 1) * (k + 2))
-    else:
-        raise RuntimeError("outer series did not converge")
-    return 2.0 / math.sqrt(math.pi) * total
+    two_x, q = 2.0 * x.ravel(), quad.ravel()
+    big_x = float(np.max(two_x, initial=0.0))
+    big_q = float(np.max(q, initial=0.0))
+    # The k = 0 terms alone sum to (2/sqrt(pi)) X^(-3/4) I_{3/2}(2 sqrt(X)) at
+    # the point of largest x; past the double range the tables need not be built.
+    if big_x > 1.0:
+        root = 2.0 * math.sqrt(big_x)
+        log_floor = math.log(2.0 / math.sqrt(math.pi) * ive(1.5, root)) + root - 0.75 * math.log(big_x)
+        if log_floor > _LOG_DOUBLE_MAX:
+            raise DomainError(f"the density exceeds the double range: its log is above {log_floor:.6g}")
+    # Along m the terms peak near sqrt(X) with width about X^(1/4); along k
+    # they fall like q^k / (k!^2 (2k)!), peaking near (q/4)^(1/4) with width
+    # about q^(1/8).  These margins leave every dropped term below 1e-17 of
+    # the sum.
+    n_m = int(math.sqrt(big_x) + 8.0 * big_x**0.25) + 20
+    n_k = int(big_q**0.25 + 8.0 * big_q**0.125) + 20
+    scale_x, scale_q = max(big_x, 1.0), max(big_q, 1.0)
+    m = np.arange(n_m, dtype=float)
+    k = np.arange(n_k, dtype=float)
+    g = np.empty((n_m, n_k))
+    g[0, 0] = 1.0 / math.gamma(2.5)
+    g[0, 1:] = scale_q / (k[1:] * (k[1:] + 1.0) * (2.0 * k[1:] + 0.5) * (2.0 * k[1:] + 1.5))
+    g[1:] = scale_x / (m[1:, None] * (m[1:, None] + 2.0 * k + 1.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(g[0], out=g[0])
+        np.cumprod(g, axis=0, out=g)
+        rows = ((two_x / scale_x)[:, None] ** m) @ g
+        f = 2.0 / math.sqrt(math.pi) * np.einsum("ik,ik->i", rows, (q / scale_q)[:, None] ** k)
+    if not np.isfinite(f).all():
+        raise DomainError("the density exceeds the double range")
+    f = f.reshape(x.shape)
+    return float(f) if f.ndim == 0 else f
 
 
 def m111_density(lam: float) -> float:

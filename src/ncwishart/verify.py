@@ -363,8 +363,7 @@ def m122_lt_quadrature(a: float, b: float, c: float) -> float:
     interior = 0.0
     for r, wr, angle in zip(rho, w_rho, ang):
         xs = r + t_nodes
-        f_vals = np.array([m122_ac_density(x, r, 0.0) for x in xs])
-        inner = float(np.sum(w_t * np.exp(-2.0 * a * xs) * f_vals))
+        inner = float(np.sum(w_t * np.exp(-2.0 * a * xs) * m122_ac_density(xs, r, 0.0)))
         interior += wr * r * angle * inner
     return sheet + interior
 

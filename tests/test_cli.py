@@ -135,6 +135,13 @@ def test_laplace_refuses_nonexistent_measure(tmp_path, capsys):
     assert "refusing:" in err and "rank 2 > 1" in err
 
 
+def test_laplace_beyond_double_range_is_usage_error(tmp_path, capsys):
+    s = write_mat(tmp_path, "s.txt", np.diag([1e-3, 1.0]))
+    assert main(["laplace", "--s-file", s, "--two-p", "1", "--k", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "double range" in err and "Traceback" not in err
+
+
 def test_laplace_malformed_matrix_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("2\n1.0 oops\n0.0 1.0\n")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -344,6 +344,98 @@ def test_m122_ac_density_boundary_and_domain():
         m122_ac_density(1.0, 1.1, 0.0)
     with pytest.raises(DomainError):
         m122_ac_density(-1.0, 0.0, 0.0)
+
+
+def _m122_ac_reference(x: float, y: float, z: float) -> float:
+    """The d = 2 interior density as a scalar double loop, each series summed adaptively."""
+    quad = x * x - y * y - z * z
+    if x < 0 or quad < 0:
+        raise DomainError("(x, y, z) lies outside the closed cone x >= sqrt(y^2 + z^2)")
+    rel_tol = 1e-12  # both series stop at the first term within this share of their sum
+    total = 0.0
+    q_term = 1.0  # q^k / (k! (k+1)!)
+    for k in range(200):
+        inner = 0.0
+        m_term = float(special.rgamma(2 * k + 2.5))  # (2x)^m / (m! Gamma(m + 2k + 5/2))
+        for m in range(2000):
+            inner += m_term
+            if m_term <= rel_tol * inner:
+                break
+            m_term *= 2.0 * x / ((m + 1) * (m + 2 * k + 2.5))
+        else:
+            raise RuntimeError("inner series did not converge")
+        total += q_term * inner
+        if q_term * inner <= rel_tol * total:
+            break
+        q_term *= quad / ((k + 1) * (k + 2))
+    else:
+        raise RuntimeError("outer series did not converge")
+    return 2.0 / math.sqrt(math.pi) * total
+
+
+@settings(max_examples=200)
+@given(
+    x=st.floats(min_value=0.0, max_value=200.0, exclude_min=True),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@example(x=200.0, frac=1.0)
+@example(x=200.0, frac=0.0)
+@example(x=1e-300, frac=1.0)
+def test_m122_ac_density_matches_scalar_reference(x, frac):
+    """The table kernel against the adaptive double loop, the sheet q = 0 included."""
+    y = frac * x
+    expected = _m122_ac_reference(x, y, 0.0)
+    assert m122_ac_density(x, y, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert m122_ac_density(np.array([x]), np.array([y]), 0.0)[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_m122_ac_density_matches_reference_at_quadrature_nodes(monkeypatch):
+    """Every node of the d2-roundtrip quadratures, evaluated a rho row at a time."""
+    from ncwishart import verify
+
+    rows = []
+
+    def recording(xs, r, z):
+        value = m122_ac_density(xs, r, z)
+        rows.append((xs, r, z, value))
+        return value
+
+    monkeypatch.setattr(verify, "m122_ac_density", recording)
+    for a, b, c in [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]:
+        verify.m122_lt_quadrature(a, b, c)
+    assert len(rows) == 5 * verify._QUAD_N_RHO * verify._QUAD_ORDER
+    for xs, r, z, value in rows:
+        expected = np.array([_m122_ac_reference(x, r, z) for x in xs])
+        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+
+
+def test_m122_ac_density_array_api():
+    x = np.array([[0.9], [2.0], [7.5]])
+    y = np.array([0.0, 0.3, -0.5, 0.5])
+    values = m122_ac_density(x, y, 0.1)
+    assert values.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            single = m122_ac_density(float(x[i, 0]), float(y[j]), 0.1)
+            assert type(single) is float
+            assert values[i, j] == pytest.approx(single, rel=1e-14)
+    assert type(m122_ac_density(ConePoint2(1.5, 0.3, -0.2))) is float
+    assert m122_ac_density(np.array([]), 0.0, 0.0).shape == (0,)
+    with pytest.raises(DomainError):
+        m122_ac_density(np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.5, 0.0]), 0.0)
+    with pytest.raises(DomainError):
+        m122_ac_density(np.array([1.0, math.nan]), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("x", [1e3, 3e4, 6e4, 6.6e4, 1e5, 1e8, 1e160, 1e200, math.inf])
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+def test_m122_ac_density_huge_argument_is_finite_or_domain_error(x, frac):
+    for args in [(x, frac * x, 0.0), (np.array([0.1, x]), np.array([0.0, frac * x]), 0.0)]:
+        try:
+            value = m122_ac_density(*args)
+        except DomainError:
+            continue
+        assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0)
 
 
 def test_m111_density_values():

@@ -5,12 +5,15 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_series_workload_runs_tiny():
+@pytest.mark.parametrize("workload", ["series", "d2-quadrature"])
+def test_workload_runs_tiny(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "series", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "0", "--tiny"],
         cwd=ROOT,
         capture_output=True,
