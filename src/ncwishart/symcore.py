@@ -186,22 +186,60 @@ def rank_psd(m, tol: float | None = None) -> int:
 def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed orthogonal matrix of order d.
 
-    QR of a standard normal matrix with the sign correction that makes
-    diag(R) positive; this is exactly Haar on O(d).
+    The orthonormal factor of a standard normal matrix, taken with a
+    positive R diagonal; see :func:`haar_orthogonal_batch`.
     """
     return haar_orthogonal_batch(d, 1, rng)[0]
 
 
 def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of *size* independent Haar orthogonal matrices, shape (size, d, d)."""
+    """Stack of *size* independent Haar orthogonal matrices, shape (size, d, d).
+
+    Each matrix is the Q of the QR factorization, with positive R diagonal,
+    of a standard normal matrix, which is exactly Haar on O(d) (Mezzadri,
+    Notices AMS 54, 2007).  Q is formed by Gram-Schmidt on the columns of
+    the draw ``rng.standard_normal((size, d, d))``, vectorized over the
+    batch, so a seeded generator gives the same matrices as LAPACK QR with
+    the sign correction, up to roundoff.
+    """
+    return np.ascontiguousarray(_haar_columns(d, size, rng).transpose(2, 1, 0))
+
+
+def _haar_columns(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar draws of :func:`haar_orthogonal_batch`, entries first.
+
+    Returns q of shape (d, d, size) with q[j, i, n] = u_n[i, j]: q[j] holds
+    column j of every draw, so each Gram-Schmidt step is one array
+    operation over the batch.  Every column is orthogonalized twice against
+    the earlier ones (classical Gram-Schmidt with reorthogonalization),
+    which keeps Q orthogonal to roundoff.  A draw whose residual norm is
+    zero or not finite, an event of probability 0, is redone by LAPACK QR.
+    """
     if d < 1:
         raise ValueError("d must be >= 1")
     if size < 0:
         raise ValueError("size must be >= 0")
     g = rng.standard_normal((size, d, d))
+    q = np.ascontiguousarray(g.transpose(2, 1, 0))
+    degenerate = np.zeros(size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            v = q[j]
+            for _ in range(2 if j else 0):
+                v -= np.einsum("kin,kn->in", q[:j], np.einsum("kin,in->kn", q[:j], v))
+            norm = np.sqrt(np.einsum("in,in->n", v, v))
+            degenerate |= ~(np.isfinite(norm) & (norm > 0.0))
+            v /= norm
+    if np.any(degenerate):
+        q[:, :, degenerate] = _haar_qr(g[degenerate]).transpose(2, 1, 0)
+    return q
+
+
+def _haar_qr(g: np.ndarray) -> np.ndarray:
+    """Q factors with positive R diagonal of a stack of square matrices."""
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    # sign(0) would drop a column; a zero R diagonal has probability 0.
+    # sign(0) would drop a column
     diag[diag == 0.0] = 1.0
     q *= np.sign(diag)[:, None, :]
     return q

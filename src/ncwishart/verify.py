@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
+from scipy.special import logsumexp
 
 from .measures import (
     DomainError,
@@ -605,9 +606,11 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         thresh = 1e-8 * np.maximum(1.0, eigs[:, -1])[:, None]
         ranks = np.count_nonzero(eigs > thresh, axis=1)
         full_rank_events += int(np.sum(ranks == d))
-        weights = sample.weights
         off = ranks < d - 1
-        worst_off_mass = max(worst_off_mass, float(weights[off].sum() / weights.sum()))
+        if np.any(off):
+            log_w = sample.log_weights
+            off_mass = math.exp(logsumexp(log_w[off]) - logsumexp(log_w))
+            worst_off_mass = max(worst_off_mass, off_mass)
     records.append(
         CheckRecord(
             name="rank-support-singular-r",

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .symcore import SymMatrix, haar_orthogonal_batch, sym_entries
+from .symcore import SymMatrix, _haar_columns, sym_entries
 
 __all__ = [
     "FRACTION_MAX_WEIGHT",
@@ -170,6 +170,25 @@ def _rho(parts: Sequence[int]) -> int:
     return sum(m * (m - i) for i, m in enumerate(parts, start=1))
 
 
+def _transfers(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Single-pair transfers lam -> mu with their coefficients l_i - l_j + 2t.
+
+    The transfer moves t units from part j up to part i < j; mu is
+    re-sorted with zeros dropped.  Listed in (i, j, t) order.
+    """
+    out = []
+    n = len(lam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lj = lam[j]
+            for t in range(1, lj + 1):
+                mu = list(lam)
+                mu[i] += t
+                mu[j] -= t
+                out.append((tuple(sorted((m for m in mu if m > 0), reverse=True)), lam[i] - lj + 2 * t))
+    return out
+
+
 def _phat_rows(weight: int, max_length: int, exact: bool) -> dict[tuple, dict[tuple, Fraction | float]]:
     """Eigenfunction coefficients with unit leading term, one row per kappa.
 
@@ -178,11 +197,12 @@ def _phat_rows(weight: int, max_length: int, exact: bool) -> dict[tuple, dict[tu
         c_{kappa lam} = [sum over single-pair transfers lam -> mu of
                          (l_i - l_j + 2t) * c_{kappa mu}] / (rho_kappa - rho_lam),
 
-    where the transfer moves t units from part j up to part i < j and the
-    result is re-sorted with zeros dropped.  Distinct transfers landing on
-    the same mu contribute once each.
+    with the transfers of :func:`_transfers`.  Distinct transfers landing
+    on the same mu contribute once each.  The transfers depend on lam only,
+    so each list is built once and reused by every kappa.
     """
     parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
+    transfers = {lam: _transfers(lam) for lam in parts_list}
     one: Fraction | float = Fraction(1) if exact else 1.0
     zero: Fraction | float = Fraction(0) if exact else 0.0
     rows: dict[tuple, dict[tuple, Fraction | float]] = {}
@@ -193,18 +213,10 @@ def _phat_rows(weight: int, max_length: int, exact: bool) -> dict[tuple, dict[tu
             if not _dominated_by(lam, kappa):
                 continue
             acc = zero
-            n = len(lam)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    lj = lam[j]
-                    for t in range(1, lj + 1):
-                        mu = list(lam)
-                        mu[i] += t
-                        mu[j] -= t
-                        mu_t = tuple(sorted((m for m in mu if m > 0), reverse=True))
-                        c = row.get(mu_t)
-                        if c is not None:
-                            acc = acc + (lam[i] - lj + 2 * t) * c
+            for mu, coeff in transfers[lam]:
+                c = row.get(mu)
+                if c is not None:
+                    acc = acc + coeff * c
             denom = rho_k - _rho(lam)
             assert denom > 0, (kappa, lam)
             val = acc / denom if exact else acc / float(denom)
@@ -603,12 +615,6 @@ def _minor_exponents(kappa, d: int) -> np.ndarray:
     return padded[:d] - padded[1:]
 
 
-def _delta_from_chol(chol: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    diag = np.diagonal(chol, axis1=-2, axis2=-1)
-    logminors = 2.0 * np.cumsum(np.log(diag), axis=-1)
-    return np.exp(logminors @ exps)
-
-
 def _delta_minors_general(a: np.ndarray, exps: np.ndarray) -> float:
     d = a.shape[0]
     sign_total = 1.0
@@ -636,25 +642,58 @@ def delta_kappa(x, kappa: Partition | Iterable[int] | Sequence[float]) -> float:
 
     Delta_kappa(x) = prod_k minor_k(x)^{m_k - m_{k+1}} with kappa padded by
     zeros to the dimension of x.  Real (including negative) exponents are
-    allowed; positive definite x goes through a Cholesky factorization in
-    log scale, anything else falls back to explicit minors and requires
-    each minor raised to a non-integer power to be positive.
+    allowed; positive definite x goes through the Cholesky pivots in log
+    scale, anything else falls back to explicit minors and requires each
+    minor raised to a non-integer power to be positive.
     """
     a = sym_entries(x)
     exps = _minor_exponents(kappa, a.shape[0])
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return _delta_minors_general(a, exps)
-    return float(_delta_from_chol(chol, exps))
+    return float(_delta_batch(a[:, :, None], exps)[0])
 
 
 def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    try:
-        chol = np.linalg.cholesky(ys)
-    except np.linalg.LinAlgError:
-        return np.array([_delta_minors_general(y, exps) for y in ys])
-    return _delta_from_chol(chol, exps)
+    """Delta for a stack of symmetric matrices stored entries first.
+
+    ys[i, j] holds entry (i, j) of every matrix, shape (d, d, n).  The
+    Cholesky pivots p_j = minor_j / minor_{j-1} come from the column
+    recurrence over the whole stack; a matrix with a pivot that is not
+    positive goes through :func:`_delta_minors_general` on its own.
+    """
+    d, n = ys.shape[0], ys.shape[2]
+    chol = np.zeros_like(ys)
+    pivots = np.empty((d, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            lj = chol[j, :j]
+            pivots[j] = ys[j, j] - np.einsum("kn,kn->n", lj, lj)
+            root = np.sqrt(pivots[j])
+            for i in range(j + 1, d):
+                chol[i, j] = (ys[i, j] - np.einsum("kn,kn->n", chol[i, :j], lj)) / root
+        out = np.exp(exps @ np.cumsum(np.log(pivots), axis=0))
+    for b in np.flatnonzero(~np.all(pivots > 0.0, axis=0)):
+        out[b] = _delta_minors_general(ys[:, :, b], exps)
+    return out
+
+
+def _conjugate(u: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
+    """Leading m x m block of u a u^T for entries-first Haar draws.
+
+    u is laid out as :func:`symcore._haar_columns` returns it
+    (u[k, i, n] = entry (i, k) of draw n).  a is one symmetric matrix, or
+    one per draw stored entries first.  The result is entries first,
+    shape (m, m, n), and exactly symmetric.
+    """
+    # t[k, j] = (a u^T)[k, j]
+    if a.ndim == 2:
+        t = np.tensordot(a, u[:, :m], axes=(1, 0))
+    else:
+        t = np.einsum("kln,ljn->kjn", a, u[:, :m])
+    y = np.empty((m, m, u.shape[2]))
+    for i in range(m):
+        for j in range(i, m):
+            y[i, j] = np.einsum("kn,kn->n", u[:, i], t[:, j])
+            y[j, i] = y[i, j]
+    return y
 
 
 @dataclasses.dataclass(frozen=True)
@@ -667,7 +706,11 @@ class McEstimate:
 
 
 # Haar rotations per batch in phi_kappa_mc; it bounds the working arrays.
-_MC_BATCH = 1024
+# Each batch step is a handful of whole-array operations, long enough at
+# this size to release the interpreter lock for most of the time, so
+# threaded callers overlap.  Every draw is computed on its own, so the
+# values do not depend on the batch size.
+_MC_BATCH = 16384
 
 
 def phi_kappa_mc(
@@ -678,8 +721,9 @@ def phi_kappa_mc(
 ) -> McEstimate:
     """Haar average Phi_kappa(x) = E[Delta_kappa(u x u^T)], u Haar on O(d).
 
-    Plain Monte Carlo over QR-generated Haar rotations, processed in
-    batches.  Returns the sample mean with its standard error.
+    Plain Monte Carlo over the Haar rotations of
+    :func:`~ncwishart.symcore.haar_orthogonal_batch`, processed in batches.
+    Returns the sample mean with its standard error.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -690,9 +734,8 @@ def phi_kappa_mc(
     done = 0
     while done < n_samples:
         b = min(_MC_BATCH, n_samples - done)
-        u = haar_orthogonal_batch(d, b, rng)
-        y = u @ a @ np.swapaxes(u, -1, -2)
-        vals[done : done + b] = _delta_batch(y, exps)
+        u = _haar_columns(d, b, rng)
+        vals[done : done + b] = _delta_batch(_conjugate(u, a, d), exps)
         done += b
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
@@ -740,20 +783,19 @@ def zonal_lemma_checks(
     checks: list[LemmaCheck] = []
 
     n_point = min(n_samples, 256)
-    u = haar_orthogonal_batch(d, n_point, rng)
-    ys = u @ a @ np.swapaxes(u, -1, -2)
+    ys = _conjugate(_haar_columns(d, n_point, rng), a, d)
+    stacked = ys.transpose(2, 0, 1)  # (n, d, d) view for LAPACK
 
     shifted = np.array(parts, dtype=float) + power
     lhs = _delta_batch(ys, _minor_exponents(shifted, d))
-    rhs = _delta_batch(ys, _minor_exponents(parts, d)) * np.linalg.det(ys) ** power
+    rhs = _delta_batch(ys, _minor_exponents(parts, d)) * np.linalg.det(stacked) ** power
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     dev = float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
     checks.append(LemmaCheck("minor_power_shift", dev, 0.0, 0.0))
 
     rev = tuple(-p for p in reversed(parts))
-    flip = np.eye(d)[::-1]
-    lhs = _delta_batch(np.linalg.inv(ys), _minor_exponents(parts, d))
-    rhs = _delta_batch(flip @ ys @ flip, _minor_exponents(rev, d))
+    lhs = _delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), _minor_exponents(parts, d))
+    rhs = _delta_batch(ys[::-1, ::-1], _minor_exponents(rev, d))
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     dev = float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
     checks.append(LemmaCheck("inverse_reversal", dev, 0.0, 0.0))
@@ -762,10 +804,8 @@ def zonal_lemma_checks(
         direct = phi_kappa_mc(a, kap, n_samples, rng)
         m_last = parts[-1]
         inner = tuple(p - m_last for p in parts[:-1])
-        u = haar_orthogonal_batch(d, n_samples, rng)
-        z = (u @ a @ np.swapaxes(u, -1, -2))[:, : d - 1, : d - 1]
-        v = haar_orthogonal_batch(d - 1, n_samples, rng)
-        w = v @ z @ np.swapaxes(v, -1, -2)
+        z = _conjugate(_haar_columns(d, n_samples, rng), a, d - 1)
+        w = _conjugate(_haar_columns(d - 1, n_samples, rng), z, d - 1)
         det_pow = float(np.linalg.det(a)) ** m_last
         vals = det_pow * _delta_batch(w, _minor_exponents(inner, d - 1))
         nested = float(np.mean(vals))

@@ -142,6 +142,74 @@ def test_haar_first_moment_vanishes(rng):
     assert float(np.max(np.abs(means))) < 5.0 / math.sqrt(3 * n)
 
 
+def _qr_with_sign_fix(g):
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[diag == 0.0] = 1.0
+    return q * np.sign(diag)[:, None, :]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+@pytest.mark.parametrize("size", [0, 1, 2000])
+def test_haar_batch_equals_qr_with_sign_fix_on_same_normals(d, size):
+    g = np.random.default_rng(11).standard_normal((size, d, d))
+    batch = haar_orthogonal_batch(d, size, np.random.default_rng(11))
+    assert batch.shape == (size, d, d)
+    assert batch.flags.c_contiguous
+    if size:
+        assert float(np.max(np.abs(batch - _qr_with_sign_fix(g)))) <= 1e-12
+
+
+def test_haar_batch_orthogonal_to_roundoff():
+    for d in (2, 3, 5):
+        u = haar_orthogonal_batch(d, 100_000, np.random.default_rng(d))
+        gram_err = np.abs(np.einsum("nki,nkj->nij", u, u) - np.eye(d))
+        assert float(np.max(gram_err)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_haar_second_and_fourth_moments(d):
+    # E[u_ij^2] = 1/d and E[u_11^4] = 3/(d(d+2)) on O(d), each within
+    # four standard errors of the sample mean
+    n = 20_000
+    u = haar_orthogonal_batch(d, n, np.random.default_rng(100 + d))
+    sq = u**2
+    se = sq.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(sq.mean(axis=0) - 1.0 / d) <= 4.0 * se + 1e-15)
+    fourth = u[:, 0, 0] ** 4
+    se4 = float(fourth.std(ddof=1)) / math.sqrt(n)
+    assert abs(float(fourth.mean()) - 3.0 / (d * (d + 2))) <= 4.0 * se4 + 1e-15
+
+
+def test_haar_batch_has_both_determinant_signs():
+    for d in (1, 2, 3):
+        dets = np.linalg.det(haar_orthogonal_batch(d, 200, np.random.default_rng(7)))
+        assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
+        assert np.any(dets > 0) and np.any(dets < 0)
+
+
+class _StubGenerator:
+    """Returns fixed 'normal' draws, so degenerate matrices can be injected."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def standard_normal(self, shape):
+        assert self.draws.shape == tuple(shape)
+        return self.draws.copy()
+
+
+def test_haar_batch_degenerate_draws_fall_back_to_qr():
+    good = np.random.default_rng(3).standard_normal((2, 3, 3))
+    dependent = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])  # column 1 = 2 * column 0
+    zero_column = np.array([[0.0, 1.0, 0.3], [0.0, 0.2, 1.0], [0.0, -0.4, 0.7]])
+    draws = np.stack([good[0], dependent, good[1], zero_column])
+    batch = haar_orthogonal_batch(3, 4, _StubGenerator(draws))
+    assert np.all(np.isfinite(batch))
+    assert np.allclose(np.einsum("nki,nkj->nij", batch, batch), np.eye(3), atol=1e-14)
+    assert np.allclose(batch, _qr_with_sign_fix(draws), atol=1e-12)
+
+
 def test_gram_basics():
     g = gram([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
     assert g.shape == (2, 2)

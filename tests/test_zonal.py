@@ -70,6 +70,46 @@ def test_coefficient_table_weight_three_exact():
     assert tab[(1, 1, 1)] == {(1, 1, 1): F(2)}
 
 
+def _phat_rows_per_kappa(weight, max_length, exact):
+    """The pipe recurrence with the transfers rebuilt for every kappa."""
+    parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
+    one = Fraction(1) if exact else 1.0
+    rows = {}
+    for ki, kappa in enumerate(parts_list):
+        rho_k = zonal._rho(kappa)
+        row = {kappa: one}
+        for lam in parts_list[ki + 1 :]:
+            if not zonal._dominated_by(lam, kappa):
+                continue
+            acc = Fraction(0) if exact else 0.0
+            n = len(lam)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for t in range(1, lam[j] + 1):
+                        mu = list(lam)
+                        mu[i] += t
+                        mu[j] -= t
+                        c = row.get(tuple(sorted((m for m in mu if m > 0), reverse=True)))
+                        if c is not None:
+                            acc = acc + (lam[i] - lam[j] + 2 * t) * c
+            denom = rho_k - zonal._rho(lam)
+            val = acc / denom if exact else acc / float(denom)
+            if val:
+                row[lam] = val
+        rows[kappa] = row
+    return rows
+
+
+@pytest.mark.parametrize("weight,max_length,exact", [(12, 4, True), (22, 3, False), (21, 4, False)])
+def test_phat_rows_equal_per_kappa_transfer_loop(weight, max_length, exact):
+    rows = zonal._phat_rows(weight, max_length, exact)
+    ref = _phat_rows_per_kappa(weight, max_length, exact)
+    assert rows == ref
+    assert list(rows) == list(ref) and all(list(rows[k]) == list(ref[k]) for k in ref)
+    kind = Fraction if exact else float
+    assert all(type(v) is kind for row in rows.values() for v in row.values())
+
+
 def test_monomial_coefficients_sum_rule_columns():
     """Within a weight, the coefficients of each monomial add to its multinomial."""
     for weight in range(1, 7):
@@ -251,6 +291,50 @@ def test_phi_kappa_at_identity_is_exact(rng):
     assert est.estimate == pytest.approx(1.0, abs=1e-15)
     assert est.std_error == pytest.approx(0.0, abs=1e-15)
     assert est.n_samples == 64
+
+
+def test_delta_batch_mixes_definite_and_singular_rows(rng):
+    # positive definite rows take the pivot path, singular PSD rows the
+    # explicit minors; each row must equal delta_kappa of that row alone
+    # (to the last bit or two: numpy's log and exp may round a lone value
+    # differently from a long array)
+    g = rng.standard_normal((4, 3, 3))
+    pd = g @ np.swapaxes(g, 1, 2) + 0.1 * np.eye(3)
+    singular = [np.diag([1.0, 0.0, 2.0]), np.diag([2.0, 3.0, 0.0])]
+    stack = np.stack([pd[0], singular[0], pd[1], singular[1], pd[2], pd[3]])
+    for kappa in [(3, 1, 0), (2, 2, 0), (2.5, 1.0, 0.0)]:
+        exps = zonal._minor_exponents(kappa, 3)
+        vals = zonal._delta_batch(np.ascontiguousarray(stack.transpose(1, 2, 0)), exps)
+        assert vals.tolist() == pytest.approx([delta_kappa(y, kappa) for y in stack], rel=1e-15, abs=0)
+        assert vals[1] == 0.0
+        assert vals[3] == pytest.approx(2.0 ** exps[0] * 6.0 ** exps[1], rel=1e-14)
+        minors = [np.linalg.det(pd[0][: k + 1, : k + 1]) for k in range(3)]
+        assert vals[0] == pytest.approx(math.prod(m**e for m, e in zip(minors, exps)), rel=1e-12)
+
+
+def test_conjugate_matches_stacked_products(rng):
+    d, n = 3, 50
+    u = zonal._haar_columns(d, n, rng)
+    stacked = u.transpose(2, 1, 0)  # u_n[i, j]
+    a = np.diag([1.0, 2.0, 0.5]) + 0.1
+    ref = stacked @ a @ np.swapaxes(stacked, 1, 2)
+    assert np.allclose(zonal._conjugate(u, a, d).transpose(2, 0, 1), ref, rtol=0, atol=1e-14)
+    assert np.allclose(zonal._conjugate(u, a, 2).transpose(2, 0, 1), ref[:, :2, :2], rtol=0, atol=1e-14)
+    # one matrix per draw, as in the nested estimator
+    per_draw = np.ascontiguousarray(ref[:, :2, :2].transpose(1, 2, 0))
+    v = zonal._haar_columns(2, n, rng)
+    v_stacked = v.transpose(2, 1, 0)
+    nested = v_stacked @ ref[:, :2, :2] @ np.swapaxes(v_stacked, 1, 2)
+    got = zonal._conjugate(v, per_draw, 2)
+    assert np.array_equal(got, np.swapaxes(got, 0, 1))
+    assert np.allclose(got.transpose(2, 0, 1), nested, rtol=0, atol=1e-14)
+
+
+def test_phi_kappa_mc_does_not_depend_on_batch_size(monkeypatch):
+    x = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])
+    full = phi_kappa_mc(x, (3, 1), 5000, np.random.default_rng(9))
+    monkeypatch.setattr(zonal, "_MC_BATCH", 1024)
+    assert phi_kappa_mc(x, (3, 1), 5000, np.random.default_rng(9)) == full
 
 
 def test_exp_trace_partial_sum_converges_honestly():
