@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .symcore import lebesgue_coords, sym_entries
-from .zonal import _CACHE_FORMAT
 
 SCHEMA_VERSION = 1
 ASYMMETRY_WARN_TOL = 1e-12
@@ -167,7 +166,7 @@ class Report:
 
 
 def default_versions() -> dict:
-    return {"package": __version__, "cache_format": _CACHE_FORMAT}
+    return {"package": __version__}
 
 
 def _csv_escape(cell: str) -> str:

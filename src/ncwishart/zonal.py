@@ -5,10 +5,16 @@ family indexed by integer partitions that satisfies, for every k,
 
     sum over |kappa| = k of C_kappa(x) = (tr x)^k.
 
-This module builds exact monomial-basis coefficient tables for C_kappa
-(rational arithmetic up to ``FRACTION_MAX_WEIGHT``, floating point beyond),
-evaluates C_kappa at symmetric matrices or eigenvalue vectors, computes the
-closed-form value at the identity, and provides the power-product
+In the monomial basis, C_kappa = n_kappa (m_kappa + lower terms in the
+dominance order); the lower coefficients follow the pipe recurrence of the
+generating differential operator and n_kappa has a closed hook-product
+form.  Evaluation builds the float64 coefficient matrix of one weight
+layer directly, one column for all kappa at a time, and multiplies it by
+the monomials of the eigenvalues.  The exact coefficient tables of
+:func:`zonal_table` (rational up to ``FRACTION_MAX_WEIGHT``, floats from
+the same matrix beyond) are the reference and public API; no evaluation
+path builds them.  The module also computes the closed-form value at the
+identity, and provides the power-product
 Delta_kappa of leading principal minors together with its Haar-orthogonal
 average Phi_kappa estimated by Monte Carlo.  The multivariate gamma
 function and partitional Pochhammer symbol live here as well since every
@@ -19,12 +25,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
-import os
-import tempfile
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .symcore import SymMatrix, _haar_columns, sym_entries
 
 __all__ = [
     "FRACTION_MAX_WEIGHT",
-    "CACHE_ENV_VAR",
     "Partition",
     "partitions_of_weight",
     "partitions_up_to",
@@ -53,14 +55,10 @@ __all__ = [
     "zonal_lemma_checks",
 ]
 
-# Coefficient tables use Fraction arithmetic up to this partition weight and
+# zonal_table uses Fraction arithmetic up to this partition weight and
 # float arithmetic beyond it.  The recurrence has positive terms only, so
-# the float tables are forward stable.
+# the float coefficients are forward stable.
 FRACTION_MAX_WEIGHT = 20
-
-# Directory for persisted coefficient tables; unset means in-memory only.
-CACHE_ENV_VAR = "NCWISHART_CACHE_DIR"
-_CACHE_FORMAT = 1
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -189,8 +187,8 @@ def _transfers(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _phat_rows(weight: int, max_length: int, exact: bool) -> dict[tuple, dict[tuple, Fraction | float]]:
-    """Eigenfunction coefficients with unit leading term, one row per kappa.
+def _phat_rows(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction]]:
+    """Exact eigenfunction coefficients with unit leading term, one row per kappa.
 
     Row entries follow the pipe recurrence: for lam < kappa,
 
@@ -203,127 +201,96 @@ def _phat_rows(weight: int, max_length: int, exact: bool) -> dict[tuple, dict[tu
     """
     parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
     transfers = {lam: _transfers(lam) for lam in parts_list}
-    one: Fraction | float = Fraction(1) if exact else 1.0
-    zero: Fraction | float = Fraction(0) if exact else 0.0
-    rows: dict[tuple, dict[tuple, Fraction | float]] = {}
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
     for ki, kappa in enumerate(parts_list):
         rho_k = _rho(kappa)
-        row: dict[tuple, Fraction | float] = {kappa: one}
+        row: dict[tuple, Fraction] = {kappa: Fraction(1)}
         for lam in parts_list[ki + 1 :]:
             if not _dominated_by(lam, kappa):
                 continue
-            acc = zero
+            acc = Fraction(0)
             for mu, coeff in transfers[lam]:
                 c = row.get(mu)
                 if c is not None:
                     acc = acc + coeff * c
             denom = rho_k - _rho(lam)
             assert denom > 0, (kappa, lam)
-            val = acc / denom if exact else acc / float(denom)
+            val = acc / denom
             if val:
                 row[lam] = val
         rows[kappa] = row
     return rows
 
 
-def _multinomial(weight: int, parts: Sequence[int], exact: bool) -> Fraction | float:
-    den = math.prod(math.factorial(p) for p in parts)
-    if exact:
-        return Fraction(math.factorial(weight), den)
-    return math.factorial(weight) / den
+def _hook_norm(kappa: Sequence[int]) -> Fraction:
+    """Leading coefficient n_kappa of C_kappa in the monomial basis.
+
+    C_kappa = 2^k k! / c'_kappa(2) * P_kappa with P_kappa the monic Jack
+    polynomial at alpha = 2 (Macdonald, Symmetric Functions and Hall
+    Polynomials, VI.10), so n_kappa = 2^k k! / prod over the cells s of
+    kappa of (2 a(s) + l(s) + 2), with arm a(s) and leg l(s).
+    """
+    conj = [sum(1 for m in kappa if m > j) for j in range(kappa[0])] if kappa else []
+    # cell (i, j) has arm m - j - 1 and leg conj[j] - i - 1
+    hooks = math.prod(
+        2 * (m - j - 1) + (conj[j] - i - 1) + 2 for i, m in enumerate(kappa) for j in range(m)
+    )
+    k = sum(kappa)
+    return Fraction(2**k * math.factorial(k), hooks)
+
+
+def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray]:
+    """Float64 monomial coefficients of C_kappa, as a (kappa x lam) matrix.
+
+    Rows and columns both run over the partitions of *weight* with at most
+    *max_length* parts in lex-descending order, a linear extension of
+    dominance, so the matrix is upper triangular.  The columns are filled
+    in that order by the pipe recurrence of :func:`_phat_rows`, one column
+    for all kappa at once: the rows that strictly dominate lam come from
+    one comparison of cumulative sums, and every mu a transfer reaches
+    precedes lam.  Each row is then scaled by :func:`_hook_norm`.
+    """
+    parts = partitions_of_weight(weight, max_length)
+    kappas = [p.parts for p in parts]
+    n = len(kappas)
+    width = max(1, max(map(len, kappas)))
+    cum = np.cumsum([p.padded(width) for p in parts], axis=1)
+    rho = np.array([_rho(k) for k in kappas], dtype=float)
+    index = {k: i for i, k in enumerate(kappas)}
+    coeff = np.eye(n)
+    for li in range(1, n):
+        rows = np.flatnonzero(np.all(cum[:li] >= cum[li], axis=1))
+        if rows.size == 0:
+            continue
+        transfers = _transfers(kappas[li])
+        mu_idx = [index[mu] for mu, _ in transfers]
+        weights = np.array([c for _, c in transfers], dtype=float)
+        coeff[rows, li] = (coeff[np.ix_(rows, mu_idx)] @ weights) / (rho[rows] - rho[li])
+    coeff *= np.array([float(_hook_norm(k)) for k in kappas])[:, None]
+    return kappas, coeff
 
 
 def _build_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction | float]]:
     """Monomial coefficients of C_kappa for all kappa of this weight.
 
-    The normalization n_kappa is the unique solution of the triangular
-    system sum_{kappa >= lam} n_kappa c_{kappa lam} = weight!/prod(lam_i!),
-    which is the sum rule stated in the module docstring written in the
-    monomial basis.
+    Exact up to ``FRACTION_MAX_WEIGHT``: the rows of :func:`_phat_rows`
+    times :func:`_hook_norm`.  Beyond it, the nonzero entries of
+    :func:`_coeff_matrix`.
     """
-    exact = weight <= FRACTION_MAX_WEIGHT
-    rows = _phat_rows(weight, max_length, exact)
-    parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
-    n_coeff: dict[tuple, Fraction | float] = {}
-    for lam in parts_list:
-        acc = _multinomial(weight, lam, exact)
-        for kp in parts_list:
-            if kp == lam:
-                break
-            c = rows[kp].get(lam)
-            if c is not None:
-                acc = acc - n_coeff[kp] * c
-        n_coeff[lam] = acc
-    return {k: {lam: n_coeff[k] * c for lam, c in row.items()} for k, row in rows.items()}
+    if weight <= FRACTION_MAX_WEIGHT:
+        tab = {}
+        for kappa, row in _phat_rows(weight, max_length).items():
+            n = _hook_norm(kappa)
+            tab[kappa] = {lam: n * c for lam, c in row.items()}
+        return tab
+    kappas, coeff = _coeff_matrix(weight, max_length)
+    return {
+        kappa: {kappas[j]: float(row[j]) for j in np.flatnonzero(row)}
+        for kappa, row in zip(kappas, coeff)
+    }
 
 
 _TABLES: dict[tuple[int, int], dict[tuple, dict[tuple, Fraction | float]]] = {}
-
-
-def _parts_key(parts: Sequence[int]) -> str:
-    return ",".join(map(str, parts))
-
-
-def _parse_parts_key(s: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in s.split(",")) if s else ()
-
-
-def _cache_path(weight: int, max_length: int) -> str | None:
-    base = os.environ.get(CACHE_ENV_VAR)
-    if not base:
-        return None
-    return os.path.join(base, f"zonal_c_w{weight:02d}_l{max_length:02d}.json")
-
-
-def _load_table(weight: int, max_length: int) -> dict | None:
-    path = _cache_path(weight, max_length)
-    if path is None or not os.path.exists(path):
-        return None
-    exact = weight <= FRACTION_MAX_WEIGHT
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        if payload["format"] != _CACHE_FORMAT or payload["weight"] != weight:
-            return None
-        if payload["max_length"] != max_length or payload["exact"] != exact:
-            return None
-        table: dict[tuple, dict[tuple, Fraction | float]] = {}
-        for kstr, row in payload["table"].items():
-            table[_parse_parts_key(kstr)] = {
-                _parse_parts_key(lstr): Fraction(v) if exact else float.fromhex(v)
-                for lstr, v in row.items()
-            }
-        return table
-    except (OSError, ValueError, KeyError, TypeError):
-        # Unreadable or stale cache entries are recomputed, never trusted.
-        return None
-
-
-def _store_table(weight: int, max_length: int, table: Mapping[tuple, Mapping[tuple, Fraction | float]]) -> None:
-    path = _cache_path(weight, max_length)
-    if path is None:
-        return
-    exact = weight <= FRACTION_MAX_WEIGHT
-    payload = {
-        "format": _CACHE_FORMAT,
-        "weight": weight,
-        "max_length": max_length,
-        "exact": exact,
-        "table": {
-            _parts_key(k): {
-                _parts_key(lam): (str(v) if exact else float(v).hex()) for lam, v in row.items()
-            }
-            for k, row in table.items()
-        },
-    }
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best effort
 
 
 def zonal_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction | float]]:
@@ -333,8 +300,9 @@ def zonal_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fractio
     *max_length* parts.  Restricting the length is loss-free for evaluation
     in dimension d = max_length because monomials longer than d vanish
     there, and the coefficients themselves do not depend on the
-    restriction.  Tables are memoized in-process and, when the directory
-    named by ``NCWISHART_CACHE_DIR`` is set, persisted to disk.
+    restriction.  Tables are memoized in-process.  They are the reference
+    and public form of the coefficients; evaluation goes through
+    :func:`zonal_layer`, which never builds them.
     """
     if weight < 0:
         raise ValueError("weight must be >= 0")
@@ -352,10 +320,7 @@ def zonal_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fractio
             }
             _TABLES[key] = tab
             return tab
-    tab = _load_table(weight, L)
-    if tab is None:
-        tab = _build_table(weight, L)
-        _store_table(weight, L, tab)
+    tab = _build_table(weight, L)
     _TABLES[key] = tab
     return tab
 
@@ -432,7 +397,7 @@ def _layer_data(weight: int, d: int) -> tuple[list[tuple], np.ndarray, np.ndarra
     data = _LAYERS.get(key)
     if data is not None:
         return data
-    tab = zonal_table(weight, min(d, weight))
+    kappas, coeff = _coeff_matrix(weight, min(d, weight))
     # stars and bars: d - 1 bar positions among weight + d - 1 places
     n_comps = math.comb(weight + d - 1, d - 1)
     bars = np.fromiter(
@@ -443,8 +408,8 @@ def _layer_data(weight: int, d: int) -> tuple[list[tuple], np.ndarray, np.ndarra
     comps = np.diff(bars, axis=1, prepend=-1, append=weight + d - 1) - 1
     lams, lam_index = np.unique(-np.sort(-comps, axis=1), axis=0, return_inverse=True)
     lam_keys = [tuple(int(a) for a in row if a) for row in lams]
-    kappas = list(tab)
-    coeff = np.array([[float(tab[k].get(lam, 0.0)) for lam in lam_keys] for k in kappas])
+    index = {k: i for i, k in enumerate(kappas)}
+    coeff = coeff[:, [index[lam] for lam in lam_keys]]
     data = (kappas, coeff, comps.T.astype(np.min_scalar_type(weight)), lam_index)
     _LAYERS[key] = data
     return data
@@ -455,8 +420,8 @@ def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
 
     x is a symmetric matrix or its eigenvalue vector of length d.  All
     monomials m_lam(x) of the weight come from one gather-and-product over
-    the compositions of the weight into d slots; the cached float copy of
-    :func:`zonal_table` turns them into the C_kappa values.
+    the compositions of the weight into d slots; the cached coefficient
+    matrix of :func:`_coeff_matrix` turns them into the C_kappa values.
     """
     eigs = _eigenvalues_of(x)
     d = eigs.size

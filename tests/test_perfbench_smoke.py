@@ -10,7 +10,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["series", "d2-quadrature", "sampling"])
+@pytest.mark.parametrize("workload", ["series", "d2-quadrature", "sampling", "verify-all"])
 def test_workload_runs_tiny(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",

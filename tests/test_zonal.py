@@ -21,7 +21,8 @@ from ncwishart import (
     zonal_layer,
     zonal_monomial_coeffs,
 )
-from ncwishart.zonal import CACHE_ENV_VAR, monomial_symmetric, partitions_of_weight, zonal_table
+from ncwishart.measures import density_fd, density_m_fullrank
+from ncwishart.zonal import monomial_symmetric, partitions_of_weight, zonal_table
 
 F = Fraction
 
@@ -100,14 +101,76 @@ def _phat_rows_per_kappa(weight, max_length, exact):
     return rows
 
 
+def _assert_rows_close(kappas, coeff, ref, rel):
+    """coeff[i, j] matches ref[kappa_i][kappa_j] to *rel*, zero where ref has no entry."""
+    assert kappas == list(ref)
+    index = {k: i for i, k in enumerate(kappas)}
+    expected = np.zeros_like(coeff)
+    for kappa, row in ref.items():
+        for lam, c in row.items():
+            expected[index[kappa], index[lam]] = float(c)
+    assert np.array_equal(coeff != 0, expected != 0)
+    assert np.all(np.abs(coeff - expected) <= rel * np.abs(expected))
+
+
 @pytest.mark.parametrize("weight,max_length,exact", [(12, 4, True), (22, 3, False), (21, 4, False)])
 def test_phat_rows_equal_per_kappa_transfer_loop(weight, max_length, exact):
-    rows = zonal._phat_rows(weight, max_length, exact)
     ref = _phat_rows_per_kappa(weight, max_length, exact)
-    assert rows == ref
-    assert list(rows) == list(ref) and all(list(rows[k]) == list(ref[k]) for k in ref)
-    kind = Fraction if exact else float
-    assert all(type(v) is kind for row in rows.values() for v in row.values())
+    if exact:
+        rows = zonal._phat_rows(weight, max_length)
+        assert rows == ref
+        assert list(rows) == list(ref) and all(list(rows[k]) == list(ref[k]) for k in ref)
+        assert all(type(v) is Fraction for row in rows.values() for v in row.values())
+    else:
+        # the array sweep sums the transfers in another order: compare its
+        # rows with the leading coefficient divided back out
+        kappas, coeff = zonal._coeff_matrix(weight, max_length)
+        unit = coeff / np.array([float(zonal._hook_norm(k)) for k in kappas])[:, None]
+        _assert_rows_close(kappas, unit, ref, rel=1e-14)
+
+
+def test_coeff_matrix_matches_exact_tables():
+    for weight in range(zonal.FRACTION_MAX_WEIGHT + 1):
+        for max_length in range(5, 0, -1):
+            kappas, coeff = zonal._coeff_matrix(weight, max_length)
+            _assert_rows_close(kappas, coeff, zonal_table(weight, max_length), rel=1e-14)
+
+
+@pytest.mark.parametrize("weight,max_length", [(22, 3), (24, 4), (22, 5)])
+def test_coeff_matrix_beyond_fraction_range_matches_exact_rows(weight, max_length):
+    rows = zonal._phat_rows(weight, max_length)
+    ref = {k: {lam: zonal._hook_norm(k) * c for lam, c in row.items()} for k, row in rows.items()}
+    kappas, coeff = zonal._coeff_matrix(weight, max_length)
+    _assert_rows_close(kappas, coeff, ref, rel=1e-14)
+    tab = zonal_table(weight, max_length)
+    assert all(type(v) is float for row in tab.values() for v in row.values())
+    _assert_rows_close(kappas, coeff, tab, rel=0)
+
+
+def test_hook_norm_equals_sum_rule_back_substitution():
+    """n_kappa solves sum_{kappa >= lam} n_kappa c_{kappa lam} = weight!/prod(lam_i!)."""
+    for weight in range(15):
+        rows = zonal._phat_rows(weight, weight)
+        n_coeff = {}
+        for lam in rows:
+            acc = F(math.factorial(weight), math.prod(math.factorial(p) for p in lam))
+            for kp in rows:
+                if kp == lam:
+                    break
+                c = rows[kp].get(lam)
+                if c is not None:
+                    acc = acc - n_coeff[kp] * c
+            n_coeff[lam] = acc
+            assert zonal._hook_norm(lam) == acc, lam
+
+
+def test_series_evaluation_builds_no_tables(monkeypatch):
+    monkeypatch.setattr(zonal, "_TABLES", {})
+    monkeypatch.setattr(zonal, "_LAYERS", {})
+    assert density_m_fullrank(np.diag([0.3, 0.5, 0.7, 0.9, 1.1]), 6.5) > 0
+    assert density_fd(np.diag([0.5, 1.0, 1.5, 2.0])) > 0
+    assert zonal._LAYERS
+    assert zonal._TABLES == {}
 
 
 def test_monomial_coefficients_sum_rule_columns():
@@ -357,31 +420,6 @@ def test_zonal_lemma_checks_structure(rng):
     trailing = checks[2]
     assert trailing.std_error > 0
     assert abs(trailing.value - trailing.expected) < 4 * trailing.std_error
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    """Tables built with the cache directory set reload identically from disk."""
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(zonal, "_TABLES", {})
-    built = zonal_table(4, 4)
-    files = list(tmp_path.glob("zonal_c_*.json"))
-    assert len(files) == 1
-    monkeypatch.setattr(zonal, "_TABLES", {})
-    reloaded = zonal_table(4, 4)
-    assert built == reloaded
-    # corrupt cache entries are recomputed, not trusted
-    files[0].write_text("{broken")
-    monkeypatch.setattr(zonal, "_TABLES", {})
-    assert zonal_table(4, 4) == built
-
-
-def test_cache_off_matches_cache_on(tmp_path, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    monkeypatch.setattr(zonal, "_TABLES", {})
-    plain = zonal_table(5, 3)
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    monkeypatch.setattr(zonal, "_TABLES", {})
-    assert zonal_table(5, 3) == plain
 
 
 def test_monomial_symmetric_small_cases():
