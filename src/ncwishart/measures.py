@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -685,30 +686,32 @@ def _faa_closed_reduced(n: int, x: Fraction, offset: Fraction) -> Fraction:
     return math.factorial(n) * math.factorial(n - 1) * total
 
 
-def _fd_stencil_weights(n: int) -> list[Fraction]:
+@functools.cache
+def _fd_stencil_weights(n: int) -> tuple[Fraction, ...]:
     """Exact rational weights for the n-th derivative on offsets -n, ..., n.
 
     2n+1 interpolation points reproduce any polynomial of degree <= 2n
     exactly, so for the polynomials differentiated here the finite
-    difference has no truncation error, only roundoff.
+    difference has no truncation error, only roundoff.  Weight j is
+    n! [t^n] prod_{i != j} (t - i) / prod_{i != j} (j - i), the n-th
+    derivative at 0 of the Lagrange basis polynomial of node j.
     """
-    pts = list(range(-n, n + 1))
+    pts = range(-n, n + 1)
     fact_n = math.factorial(n)
     out = []
     for j in pts:
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         denom = 1
         for i in pts:
             if i == j:
                 continue
             denom *= j - i
-            new = [Fraction(0)] * (len(coeffs) + 1)
-            for t, c in enumerate(coeffs):
-                new[t + 1] += c
-                new[t] -= i * c
-            coeffs = new
-        out.append(Fraction(fact_n) * coeffs[n] / denom)
-    return out
+            # coeffs *= (t - i), lowest degree first
+            coeffs = [0] + coeffs
+            for t in range(len(coeffs) - 1):
+                coeffs[t] -= i * coeffs[t + 1]
+        out.append(Fraction(fact_n * coeffs[n], denom))
+    return tuple(out)
 
 
 def _fd_nth_derivative(power: int, n: int, x: float, offset: float, h: float) -> float:

@@ -25,7 +25,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import __version__
-from .symcore import lebesgue_coords, sym_entries
+from .symcore import _check_symmetric_stack, sym_entries
 
 SCHEMA_VERSION = 1
 ASYMMETRY_WARN_TOL = 1e-12
@@ -253,6 +253,11 @@ def coordinate_names(d: int) -> list[str]:
     return names
 
 
+# Draws formatted per write in write_samples_csv; it bounds the working
+# arrays and the text held in memory for large stacks.
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_samples_csv(
     out: str | IO[str], draws: np.ndarray, log_weights: Sequence[float] | None = None
 ) -> None:
@@ -260,21 +265,41 @@ def write_samples_csv(
 
     Columns are the isometric Lebesgue coordinates (diagonal first, then
     sqrt(2) times the upper off-diagonal entries, row-major) followed by
-    the importance weight when one is supplied; the header row names each
-    column.
+    the importance weight exp(log_weight) when log-weights are supplied;
+    the header row names each column.  Values have 17 significant digits.
+
+    Every draw must be finite and symmetric to within 1e-9 times
+    max(1, its largest entry), as :func:`lebesgue_coords` requires, and is
+    written as the average with its transpose.  The whole stack is checked
+    before anything is written; the first draw that fails raises
+    ValueError.  A weight beyond the double range is written as ``inf``
+    with a RuntimeWarning naming the largest log-weight.
     """
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3 or draws.shape[1] != draws.shape[2]:
         raise ValueError("draws must be stacked symmetric matrices (N, d, d)")
-    d = draws.shape[1]
+    n_rows, d = draws.shape[:2]
+    _check_symmetric_stack(draws)
     header = coordinate_names(d)
     weights = None
     if log_weights is not None:
-        weights = np.exp(np.asarray(log_weights, dtype=float))
-        if weights.shape != (draws.shape[0],):
+        log_w = np.asarray(log_weights, dtype=float)
+        if log_w.shape != (n_rows,):
             raise ValueError("need exactly one weight per draw")
+        with np.errstate(over="ignore"):
+            weights = np.exp(log_w)
+        if np.any(np.isinf(weights)):
+            warnings.warn(
+                f"importance weights overflow to inf (largest log-weight "
+                f"{format_float(np.max(log_w))})",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         header = header + ["weight"]
 
+    iu, ju = np.triu_indices(d, k=1)
+    # format_float for every cell of a row
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     fh: IO[str]
     close = False
     if isinstance(out, str):
@@ -284,11 +309,19 @@ def write_samples_csv(
         fh = out
     try:
         fh.write(",".join(header) + "\n")
-        for i in range(draws.shape[0]):
-            cells = [format_float(v) for v in lebesgue_coords(draws[i])]
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = draws[start : start + _CSV_BLOCK_ROWS]
+            table = np.empty((block.shape[0], len(header)))
+            # the entries of (a + a^T) / 2, as lebesgue_coords forms them
+            diag = np.diagonal(block, axis1=1, axis2=2)
+            table[:, :d] = (diag + diag) / 2.0
+            table[:, d : d + len(iu)] = math.sqrt(2.0) * (
+                (block[:, iu, ju] + block[:, ju, iu]) / 2.0
+            )
             if weights is not None:
-                cells.append(format_float(weights[i]))
-            fh.write(",".join(cells) + "\n")
+                table[:, -1] = weights[start : start + _CSV_BLOCK_ROWS]
+            fh.write("".join([row % tuple(r) for r in table.tolist()]))
     finally:
         if close:
             fh.close()
+

@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
-from .symcore import default_rank_tol, haar_orthogonal_batch, sym_entries
-from .zonal import McEstimate
+from .symcore import _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
+from .zonal import McEstimate, _conjugate
 
 __all__ = [
     "RANK_EVENT_TOL",
@@ -147,8 +147,14 @@ def ncw_sample(params: NcwParams, n_draws: int, rng: np.random.Generator) -> np.
         raise DomainError("sigma is numerically singular (condition > 1e12)")
     chol = np.linalg.cholesky(params.sigma)
     y = rng.standard_normal((n_draws, n, d)) @ chol.T + means[None, :, :]
-    draws = np.einsum("bni,bnj->bij", y, y)
-    return 0.5 * (draws + np.transpose(draws, (0, 2, 1)))
+    # entries first: y[i, k] holds entry i of Y_k for every draw, so each
+    # entry of the sum is one contiguous reduction over k
+    y = np.ascontiguousarray(y.transpose(2, 1, 0))
+    draws = np.empty((d, d, n_draws))
+    for i in range(d):
+        for j in range(i, d):
+            draws[i, j] = draws[j, i] = np.einsum("kn,kn->n", y[i], y[j])
+    return np.ascontiguousarray(draws.transpose(2, 0, 1))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -222,8 +228,11 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
 
     Push-forward construction: x weighted-sampled from m(d-1, d-1, d-1) in
     dimension d - 1, u Haar orthogonal in dimension d, draw u [x 0; 0 0] u^T
-    with the weight multiplied by (pi det x)^(1/2) / Gamma(d/2).  Every draw
-    has rank exactly d - 1 almost surely.
+    with the weight multiplied by (pi det x)^(1/2) / Gamma(d/2).  The draw
+    only involves the first d - 1 columns of u, so it is formed as
+    u_{d-1} x u_{d-1}^T from those columns, taken entries first from the
+    same normals :func:`haar_orthogonal_batch` would draw.  Draws are exactly
+    symmetric, and every draw has rank exactly d - 1 almost surely.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -235,11 +244,9 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
         # x is full rank almost surely; a nonpositive determinant means a
         # degenerate draw slipped through, not a usable sample.
         raise RuntimeError("inner draw with nonpositive determinant")
-    u = haar_orthogonal_batch(d, n_draws, rng)
-    embedded = np.zeros((n_draws, d, d))
-    embedded[:, : d - 1, : d - 1] = inner.draws
-    draws = np.einsum("bij,bjk,blk->bil", u, embedded, u)
-    draws = 0.5 * (draws + np.transpose(draws, (0, 2, 1)))
+    cols = _haar_columns(d, n_draws, rng)[: d - 1]
+    x = np.ascontiguousarray(inner.draws.transpose(1, 2, 0))
+    draws = np.ascontiguousarray(_conjugate(cols, x, d).transpose(2, 0, 1))
     log_w = (
         inner.log_weights
         + 0.5 * (math.log(math.pi) + logdet)

@@ -57,6 +57,28 @@ def sym_entries(m: "SymMatrix | np.ndarray | Sequence", name: str = "matrix") ->
     return (a + a.T) / 2.0
 
 
+def _check_symmetric_stack(draws: np.ndarray) -> None:
+    """The checks of :func:`sym_entries`, draw by draw over a stack (N, d, d).
+
+    Each draw must be finite and asymmetric by at most _ASYM_REL_TOL times
+    max(1, its own largest entry); the first draw that fails raises the
+    ValueError sym_entries would.
+    """
+    if draws.shape[0] == 0:
+        return
+    flat = draws.reshape(draws.shape[0], -1)
+    finite = np.isfinite(flat).all(axis=1)
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(1.0, np.abs(flat).max(axis=1))
+        asym = np.abs(draws - draws.transpose(0, 2, 1)).reshape(flat.shape).max(axis=1)
+    bad = ~finite | (asym > _ASYM_REL_TOL * scale)
+    if np.any(bad):
+        first = int(np.argmax(bad))
+        if not finite[first]:
+            raise ValueError("matrix has non-finite entries")
+        raise ValueError("matrix is not symmetric")
+
+
 class SymMatrix:
     """Immutable dense real symmetric matrix.
 

@@ -644,8 +644,9 @@ def _conjugate(u: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
     """Leading m x m block of u a u^T for entries-first Haar draws.
 
     u is laid out as :func:`symcore._haar_columns` returns it
-    (u[k, i, n] = entry (i, k) of draw n).  a is one symmetric matrix, or
-    one per draw stored entries first.  The result is entries first,
+    (u[k, i, n] = entry (i, k) of draw n), or is its leading columns
+    u[:c].  a is one symmetric c x c matrix, or one per draw stored
+    entries first.  The result is entries first,
     shape (m, m, n), and exactly symmetric.
     """
     # t[k, j] = (a u^T)[k, j]

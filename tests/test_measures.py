@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ncwishart import (
     reduce_to_canonical,
     singular_r_laplace,
 )
+from ncwishart.measures import _fd_stencil_weights
 from ncwishart.zonal import c_kappa_identity, multivariate_gamma, zonal_layer
 
 
@@ -462,6 +464,38 @@ def test_faa_di_bruno_finite_difference_accuracy():
         faa_di_bruno_check(n, (1.5, 0.5, 0.5)).fd_rel_error for n in range(1, 9)
     )
     assert worst < 1e-6
+
+
+def _stencil_weights_in_fractions(n):
+    """Stencil weights with every polynomial coefficient held as a Fraction."""
+    pts = list(range(-n, n + 1))
+    out = []
+    for j in pts:
+        coeffs = [Fraction(1)]
+        denom = 1
+        for i in pts:
+            if i == j:
+                continue
+            denom *= j - i
+            new = [Fraction(0)] * (len(coeffs) + 1)
+            for t, c in enumerate(coeffs):
+                new[t + 1] += c
+                new[t] -= i * c
+            coeffs = new
+        out.append(Fraction(math.factorial(n)) * coeffs[n] / denom)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fd_stencil_weights(n):
+    weights = _fd_stencil_weights(n)
+    assert isinstance(weights, tuple)
+    assert list(weights) == _stencil_weights_in_fractions(n)
+    assert _fd_stencil_weights(n) is weights
+    # exact on every monomial of degree <= 2n: the n-th derivative at 0
+    for m in range(2 * n + 1):
+        moment = sum(w * j**m for w, j in zip(weights, range(-n, n + 1)))
+        assert moment == (math.factorial(n) if m == n else 0)
 
 
 def test_faa_di_bruno_accepts_cone_point_and_validates_n():

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,81 @@ def test_write_samples_csv_validates(rng):
         write_samples_csv(io.StringIO(), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         write_samples_csv(io.StringIO(), np.zeros((3, 2, 2)), log_weights=[0.0])
+
+
+def _reference_samples_csv(draws, log_weights=None) -> str:
+    """The writer as one loop over draws: lebesgue_coords, then format_float."""
+    d = draws.shape[1]
+    header = coordinate_names(d) + (["weight"] if log_weights is not None else [])
+    if log_weights is not None:
+        with np.errstate(over="ignore"):
+            weights = np.exp(np.asarray(log_weights, dtype=float))
+    lines = [",".join(header)]
+    for i in range(draws.shape[0]):
+        cells = [format_float(v) for v in lebesgue_coords(draws[i])]
+        if log_weights is not None:
+            cells.append(format_float(weights[i]))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_write_samples_csv_matches_per_row_reference(d):
+    rng = np.random.default_rng(d)
+    n = 5000  # more than one block of rows
+    g = rng.standard_normal((n, d, d)) * np.exp(rng.uniform(-30.0, 30.0, (n, 1, 1)))
+    draws = g @ np.swapaxes(g, 1, 2)
+    # asymmetry inside the tolerance: the written entries are the averages
+    draws[:7] += 1e-12 * rng.standard_normal((7, d, d))
+    draws[7] = 0.0
+    draws[8] = -0.0
+    log_w = rng.normal(0.0, 3.0, n)
+    for weights in (None, log_w):
+        buf = io.StringIO()
+        write_samples_csv(buf, draws, weights)
+        assert buf.getvalue() == _reference_samples_csv(draws, weights)
+
+
+def test_write_samples_csv_empty_stack_writes_header_only():
+    buf = io.StringIO()
+    write_samples_csv(buf, np.zeros((0, 3, 3)), np.zeros(0))
+    assert buf.getvalue() == ",".join(coordinate_names(3) + ["weight"]) + "\n"
+
+
+def test_write_samples_csv_read_only_broadcast_input():
+    a = np.array([[2.0, -0.25, 1e-300], [-0.25, 3.5, 7.0], [1e-300, 7.0, 1e10]])
+    draws = np.broadcast_to(a, (4, 3, 3))
+    assert not draws.flags.writeable
+    buf = io.StringIO()
+    write_samples_csv(buf, draws, np.arange(4.0))
+    assert buf.getvalue() == _reference_samples_csv(draws, np.arange(4.0))
+
+
+def test_write_samples_csv_rejects_one_non_finite_draw(rng):
+    draws = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
+    draws[3, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        write_samples_csv(io.StringIO(), draws)
+
+
+def test_write_samples_csv_asymmetry_scale_is_per_draw():
+    # asymmetry 1e-6 is far above 1e-9 for a draw of unit entries, but
+    # below it on the scale of the 1e6 draw beside it
+    small = np.array([[1.0, 0.5], [0.5 + 1e-6, 1.0]])
+    large = np.full((2, 2), 1e6)
+    with pytest.raises(ValueError, match="not symmetric"):
+        write_samples_csv(io.StringIO(), np.stack([large, small]))
+    write_samples_csv(io.StringIO(), np.stack([large, large + small - small.T]))
+
+
+def test_write_samples_csv_warns_on_weight_overflow():
+    draws = np.broadcast_to(np.eye(2), (3, 2, 2))
+    log_w = np.array([0.0, 800.0, 1.5])
+    buf = io.StringIO()
+    with pytest.warns(RuntimeWarning, match="800"):
+        write_samples_csv(buf, draws, log_w)
+    assert buf.getvalue() == _reference_samples_csv(draws, log_w)
+    assert buf.getvalue().splitlines()[2].endswith(",inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_samples_csv(io.StringIO(), draws, np.array([0.0, 700.0, -800.0]))

@@ -22,6 +22,7 @@ from ncwishart import (
     weighted_laplace_estimate,
 )
 from ncwishart.samplers import RANK_EVENT_TOL
+from ncwishart.symcore import haar_orthogonal_batch
 
 N_MC = 30_000
 
@@ -69,6 +70,22 @@ def test_ncw_sample_shape_symmetry_reproducibility():
     eigs = np.linalg.eigvalsh(draws)
     assert np.all(eigs[:, 0] > -1e-10)
     assert np.all(eigs[:, 0] < 1e-10)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_ncw_sample_equals_batched_einsum_reference(d):
+    for n in sorted({1, 2, d + 1}):
+        rng = np.random.default_rng([d, n])
+        vecs = rng.standard_normal((min(n, d), d))
+        params = NcwParams(float(n), 0.3 * vecs.T @ vecs, spd(rng, d))
+        draws = ncw_sample(params, 500, np.random.default_rng(11))
+        # the batched einsum, symmetrized, on the same stream
+        gen = np.random.default_rng(11)
+        means = decompose_w(2.0 * params.w, n).means
+        y = gen.standard_normal((500, n, d)) @ np.linalg.cholesky(params.sigma).T + means
+        ref = np.einsum("bni,bnj->bij", y, y)
+        ref = 0.5 * (ref + np.swapaxes(ref, 1, 2))
+        assert np.array_equal(draws, ref)
 
 
 def test_ncw_sample_first_moment(rng):
@@ -171,6 +188,30 @@ def test_singular_r_rank_and_weighted_mass(rng):
         weights = sample.weights
         off_mass = float(weights[ranks < d - 1].sum() / weights.sum())
         assert off_mass <= 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_singular_r_sample_matches_full_haar_push_forward(d):
+    n_draws = 2000
+    sample = singular_r_sample(d, n_draws, np.random.default_rng([d, 21]))
+    # the same stream through the full Haar matrices and the zero-padded x
+    gen = np.random.default_rng([d, 21])
+    inner = m_measure_sample(MeasureSpec(float(d - 1), d - 1, d - 1), n_draws, gen)
+    u = haar_orthogonal_batch(d, n_draws, gen)
+    embedded = np.zeros((n_draws, d, d))
+    embedded[:, : d - 1, : d - 1] = inner.draws
+    ref = u @ embedded @ np.swapaxes(u, 1, 2)
+    scale = np.max(np.abs(inner.draws), axis=(1, 2))
+    assert np.all(np.max(np.abs(sample.draws - ref), axis=(1, 2)) <= 1e-15 * scale)
+    _, logdet = np.linalg.slogdet(inner.draws)
+    log_w = inner.log_weights + 0.5 * (math.log(math.pi) + logdet) - math.lgamma(d / 2.0)
+    assert np.array_equal(sample.log_weights, log_w)
+    # exactly symmetric, with one structural zero eigenvalue
+    assert np.array_equal(sample.draws, np.swapaxes(sample.draws, 1, 2))
+    eigs = np.linalg.eigvalsh(sample.draws)
+    top = eigs[:, -1:]
+    assert np.all(np.abs(eigs[:, 0:1]) <= 1e-12 * top)
+    assert np.all(eigs[:, 1:] > 1e-12 * top)
 
 
 def test_singular_r_laplace_agreement(rng):
