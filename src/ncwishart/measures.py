@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import ive
 
 from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
-from .zonal import multivariate_gamma, zonal_layer
+from .zonal import _layer_values
 
 __all__ = [
     "DomainError",
@@ -424,6 +424,57 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
+def _zonal_series(
+    eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray], policy: TruncationPolicy
+) -> float:
+    """sum over kappa of weight_kappa C_kappa(eigs) / |kappa|!, layer by layer.
+
+    *weights* maps the padded parts of one weight layer (kappa x d, in
+    table order) to one weight per kappa; each layer is the dot product of
+    those weights with the layer's C_kappa values.
+    """
+
+    def layer(w: int) -> float:
+        parts, values = _layer_values(eigs, w)
+        return float(values @ weights(parts)) / math.factorial(w)
+
+    return _sum_weight_layers(layer, policy)
+
+
+def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """log Gamma_d(kappa + p) for every kappa of a layer, from its padded parts.
+
+    The values are gathered from the table lg[j, m] = lgamma(p + m - j/2)
+    and summed over j in the order of :func:`~ncwishart.zonal.multivariate_gamma`,
+    so each equals its log=True value bit for bit.  Arguments at or below
+    zero are gamma poles, where that function raises: the table holds +inf
+    there, and so does the sum.  The columns double whenever a layer's
+    largest part passes them, so the table grows with the weight the series
+    reaches, not with ``max_weight``.
+    """
+    log_pi = d * (d - 1) / 4.0 * math.log(math.pi)
+    half = np.arange(d) / 2.0
+    rows = np.arange(d)[:, None]
+    table = np.empty((d, 0))
+
+    def log_gammas(parts: np.ndarray) -> np.ndarray:
+        nonlocal table
+        top = int(parts[0, 0])  # a layer's first kappa is (w), its largest part
+        if top >= table.shape[1]:
+            cols = [
+                [math.lgamma(a) if a > 0.0 else math.inf for a in ((p + m) - half).tolist()]
+                for m in range(table.shape[1], 2 * top + 1)
+            ]
+            table = np.hstack([table, np.array(cols).T])
+        terms = table.ravel().take(parts.T + table.shape[1] * rows)
+        total = log_pi + terms[0]
+        for row in terms[1:]:
+            total += row
+        return total
+
+    return log_gammas
+
+
 def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) -> float:
     """Density of m(n, d, d) at PD x, against the isometric Lebesgue measure.
 
@@ -438,6 +489,10 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     n = d - 1 the gamma factors of partitions shorter than d hit poles and
     drop out; what remains is (det x)^(-1) times the interior density of
     the boundary decomposition, see :func:`density_fd`.
+
+    The series is one :func:`_zonal_series` walk weighted by the
+    reciprocal gammas exp(-log Gamma_d(kappa + n/2)) of
+    :func:`_log_multivariate_gammas`; a pole gives the weight exactly 0.
     """
     policy = policy or TruncationPolicy()
     eigs = _pd_eigenvalues(x, "x")
@@ -446,19 +501,8 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     if shape < d - 1 - SHAPE_INTEGER_TOL:
         raise DomainError(f"full-rank density requires shape >= d-1 = {d - 1}, got {shape}")
     p = shape / 2.0
-    # At the critical shape the last gamma argument of a kappa shorter than
-    # d is p - (d-1)/2 <= 0: Gamma_d has a pole there and the term vanishes.
-    at_poles = p <= (d - 1) / 2.0
-
-    def layer(w: int) -> float:
-        total = 0.0
-        for kappa, c in zonal_layer(eigs, w).items():
-            if at_poles and len(kappa) < d:
-                continue
-            total += c * math.exp(-multivariate_gamma(p, d, kappa, log=True))
-        return total / math.factorial(w)
-
-    series = _sum_weight_layers(layer, policy)
+    log_gammas = _log_multivariate_gammas(p, d)
+    series = _zonal_series(eigs, lambda parts: np.exp(-log_gammas(parts)), policy)
     log_det = float(np.sum(np.log(eigs)))
     return 2.0 ** (-d * (d - 1) / 4.0) * math.exp((p - (d + 1) / 2.0) * log_det) * series
 
@@ -493,15 +537,13 @@ def lt_fd_series(s, dim: int, policy: TruncationPolicy | None = None) -> float:
     """Laplace transform of f_d * (normalized Lebesgue on the cone) at PD s.
 
         (det s)^(-(d-1)/2) * sum over full-length kappa of C_kappa(s^(-1)) / |kappa|!
+
+    One :func:`_zonal_series` walk, weighting each kappa by whether its
+    d-th part is positive.
     """
     policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-
-    def layer(w: int) -> float:
-        total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if len(kappa) == dim)
-        return total / math.factorial(w)
-
-    return prefactor * _sum_weight_layers(layer, policy)
+    return prefactor * _zonal_series(inv_eigs, lambda parts: parts[:, -1] > 0, policy)
 
 
 def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> float:
@@ -514,15 +556,12 @@ def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> f
 
     so that singular_r_laplace + lt_fd_series reproduces laplace_m exactly
     (the two partition classes partition the exponential-of-trace series).
+    The walk is that of :func:`lt_fd_series` with the complementary weights:
+    1 where the d-th part is 0.
     """
     policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-
-    def layer(w: int) -> float:
-        total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if len(kappa) < dim)
-        return total / math.factorial(w)
-
-    return prefactor * _sum_weight_layers(layer, policy)
+    return prefactor * _zonal_series(inv_eigs, lambda parts: parts[:, -1] == 0, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -381,23 +381,8 @@ def monomial_symmetric(values: Sequence[float], lam: Partition | Iterable[int]) 
     return rec(tuple(range(d)), 0)
 
 
-_LAYERS: dict[tuple[int, int], tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _layer_data(weight: int, d: int) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
-    """Cached evaluation data of one weight layer in dimension d.
-
-    Returns the kappas in table order, the float64 coefficient matrix
-    (kappa x lam), the exponents of every composition of *weight* into d
-    slots (one column per composition) and, for each composition, the
-    column index of the partition it sorts to.  m_lam(x) is the sum of
-    prod_i x_i^a_i over the compositions a that sort to lam.
-    """
-    key = (weight, d)
-    data = _LAYERS.get(key)
-    if data is not None:
-        return data
-    kappas, coeff = _coeff_matrix(weight, min(d, weight))
+def _compositions(weight: int, d: int) -> np.ndarray:
+    """Every composition of *weight* into d slots, one row each."""
     # stars and bars: d - 1 bar positions among weight + d - 1 places
     n_comps = math.comb(weight + d - 1, d - 1)
     bars = np.fromiter(
@@ -405,31 +390,84 @@ def _layer_data(weight: int, d: int) -> tuple[list[tuple], np.ndarray, np.ndarra
         dtype=np.int64,
         count=n_comps * (d - 1),
     ).reshape(n_comps, d - 1)
-    comps = np.diff(bars, axis=1, prepend=-1, append=weight + d - 1) - 1
-    lams, lam_index = np.unique(-np.sort(-comps, axis=1), axis=0, return_inverse=True)
+    return np.diff(bars, axis=1, prepend=-1, append=weight + d - 1) - 1
+
+
+def _group_compositions(comps: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct descending-sorted rows of *comps*, and each row's index among them.
+
+    Each sorted row is read as a number in base weight + 1, most
+    significant part first, so the keys sort exactly as the rows do
+    lexicographically: the result equals ``np.unique`` of the sorted rows
+    with ``axis=0``.  (weight + 1)^d stays below 2^63 wherever the
+    compositions fit in memory.
+    """
+    desc = -np.sort(-comps, axis=1)
+    radix = (weight + 1) ** np.arange(comps.shape[1] - 1, -1, -1, dtype=np.int64)
+    _, first, inverse = np.unique(desc @ radix, return_index=True, return_inverse=True)
+    return desc[first], inverse
+
+
+_LAYERS: dict[tuple[int, int], tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _layer_data(
+    weight: int, d: int
+) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cached evaluation data of one weight layer in dimension d.
+
+    Returns the kappas in table order, their parts padded with zeros to
+    length d (a kappa x d integer array), the float64 coefficient matrix
+    (kappa x lam), the compositions of *weight* into d slots as flat
+    indices a_i + (weight + 1) i into the raveled d x (weight + 1) table of
+    eigenvalue powers (one column per composition; ``uint16`` whenever it
+    fits), and for each composition the column index of the partition it
+    sorts to.  m_lam(x) is the sum of prod_i x_i^a_i over the compositions
+    a that sort to lam.
+    """
+    key = (weight, d)
+    data = _LAYERS.get(key)
+    if data is not None:
+        return data
+    kappas, coeff = _coeff_matrix(weight, min(d, weight))
+    parts = np.array([k + (0,) * (d - len(k)) for k in kappas], dtype=np.intp)
+    comps = _compositions(weight, d)
+    lams, lam_index = _group_compositions(comps, weight)
     lam_keys = [tuple(int(a) for a in row if a) for row in lams]
     index = {k: i for i, k in enumerate(kappas)}
     coeff = coeff[:, [index[lam] for lam in lam_keys]]
-    data = (kappas, coeff, comps.T.astype(np.min_scalar_type(weight)), lam_index)
+    stride = weight + 1
+    flat = comps.T + stride * np.arange(d)[:, None]
+    flat = flat.astype(np.uint16 if stride * d <= 2**16 else np.intp)
+    data = (kappas, parts, coeff, flat, lam_index)
     _LAYERS[key] = data
     return data
+
+
+def _layer_values(eigs: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded parts (kappa x d) and C_kappa at the eigenvalues, in table order.
+
+    All monomials m_lam come from one flat gather-and-product over the
+    compositions of the weight into d slots; the cached coefficient matrix
+    of :func:`_coeff_matrix` turns them into the C_kappa values.
+    """
+    _, parts, coeff, flat, lam_index = _layer_data(weight, eigs.size)
+    powers = eigs[:, None] ** np.arange(weight + 1)
+    terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
+    mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
+    return parts, coeff @ mono
 
 
 def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
     """C_kappa(x) for every kappa of *weight* with at most d parts.
 
-    x is a symmetric matrix or its eigenvalue vector of length d.  All
-    monomials m_lam(x) of the weight come from one gather-and-product over
-    the compositions of the weight into d slots; the cached coefficient
-    matrix of :func:`_coeff_matrix` turns them into the C_kappa values.
+    x is a symmetric matrix or its eigenvalue vector of length d.  The
+    values come from :func:`_layer_values`, keyed by kappa in table order.
     """
     eigs = _eigenvalues_of(x)
-    d = eigs.size
-    kappas, coeff, exps, lam_index = _layer_data(weight, d)
-    powers = eigs[:, None] ** np.arange(weight + 1)
-    terms = np.prod(powers[np.arange(d)[:, None], exps], axis=0)
-    mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
-    return dict(zip(kappas, (coeff @ mono).tolist()))
+    kappas = _layer_data(weight, eigs.size)[0]
+    _, values = _layer_values(eigs, weight)
+    return dict(zip(kappas, values.tolist()))
 
 
 def zonal_C(x, kappa: Partition | Iterable[int]) -> float:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,9 @@ from ncwishart import (
     reduce_to_canonical,
     singular_r_laplace,
 )
-from ncwishart.measures import _fd_stencil_weights
+from ncwishart import zonal
+from ncwishart.measures import _fd_stencil_weights, _log_multivariate_gammas, _sum_weight_layers
+from ncwishart.symcore import sym_entries
 from ncwishart.zonal import c_kappa_identity, multivariate_gamma, zonal_layer
 
 
@@ -268,6 +271,110 @@ def test_split_transform_reassembles_laplace_m(rng):
             whole = laplace_m(s, (float(d - 1), d, d))
             split = singular_r_laplace(s, d) + lt_fd_series(s, d)
             assert split == pytest.approx(whole, rel=1e-10)
+
+
+# The per-kappa series loops that the single weighted walk replaced, kept as
+# references: a Python sum over zonal_layer with one multivariate_gamma call
+# per kappa, or a filter on the length of kappa.
+
+
+def _fullrank_reference(x, shape, policy=None):
+    policy = policy or TruncationPolicy()
+    eigs = np.linalg.eigvalsh(sym_entries(x))
+    d = eigs.size
+    p = shape / 2.0
+    at_poles = p <= (d - 1) / 2.0
+
+    def layer(w):
+        total = 0.0
+        for kappa, c in zonal_layer(eigs, w).items():
+            if at_poles and len(kappa) < d:
+                continue
+            total += c * math.exp(-multivariate_gamma(p, d, kappa, log=True))
+        return total / math.factorial(w)
+
+    series = _sum_weight_layers(layer, policy)
+    log_det = float(np.sum(np.log(eigs)))
+    return 2.0 ** (-d * (d - 1) / 4.0) * math.exp((p - (d + 1) / 2.0) * log_det) * series
+
+
+def _split_reference(s, dim, keep):
+    eigs = np.linalg.eigvalsh(sym_entries(s))
+    inv_eigs = 1.0 / eigs[::-1]
+    prefactor = math.exp(-(dim - 1) / 2.0 * float(np.sum(np.log(eigs))))
+
+    def layer(w):
+        total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if keep(len(kappa)))
+        return total / math.factorial(w)
+
+    return prefactor * _sum_weight_layers(layer, TruncationPolicy())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_density_m_fullrank_matches_per_kappa_series(rng, d):
+    # d - 1 - 5e-10 lies inside SHAPE_INTEGER_TOL, at the gamma poles
+    for shape in (d - 1, d - 1 - 5e-10, d - 0.5, d + 3.7):
+        if shape <= 0:
+            continue
+        for _ in range(2):
+            x = spd(rng, d, 0.3, 2.0)
+            assert density_m_fullrank(x, shape) == pytest.approx(_fullrank_reference(x, shape), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_split_series_match_per_kappa_filters(rng, d):
+    for _ in range(2):
+        s = spd(rng, d, 0.6, 2.5)
+        fd = _split_reference(s, d, lambda length: length == d)
+        r = _split_reference(s, d, lambda length: length < d)
+        assert lt_fd_series(s, d) == pytest.approx(fd, rel=1e-15, abs=0)
+        assert singular_r_laplace(s, d) == pytest.approx(r, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_gathered_log_gammas_equal_multivariate_gamma(d):
+    # p = 0.1 puts several gamma arguments below zero at d >= 2
+    for p in ((d - 1) / 2.0, (d - 1) / 2.0 - 2.5e-10, d / 2.0 - 0.25, (d + 3.7) / 2.0, 0.1):
+        in_order = _log_multivariate_gammas(p, d)
+        top_first = _log_multivariate_gammas(p, d)
+        top_first(zonal._layer_data(24, d)[1])
+        for weight in range(25):
+            kappas, parts = zonal._layer_data(weight, d)[:2]
+            for got in (in_order(parts), top_first(parts)):
+                for kappa, value in zip(kappas, got.tolist()):
+                    try:
+                        expected = multivariate_gamma(p, d, kappa, log=True)
+                    except ValueError:
+                        expected = math.inf
+                    assert value == expected, (p, kappa)
+
+
+def test_fixed_policy_matches_per_kappa_series():
+    fixed = TruncationPolicy(TruncationMode.FIXED, max_weight=40)
+    x = np.array([[1.3, 0.4], [0.4, 0.6]])
+    for shape in (1.0, 1.5, 4.2):
+        assert density_m_fullrank(x, shape, fixed) == pytest.approx(
+            _fullrank_reference(x, shape, fixed), rel=1e-15, abs=0
+        )
+
+
+def test_huge_max_weight_costs_nothing_up_front():
+    """The lgamma table grows with the weight reached, not with max_weight."""
+    x = np.diag([0.4, 0.7, 1.1])
+    huge = TruncationPolicy(max_weight=10**6)
+
+    def best_time(policy):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            value = density_m_fullrank(x, 2.5, policy)
+            times.append(time.perf_counter() - start)
+        return min(times), value
+
+    default_s, default_value = best_time(None)
+    huge_s, huge_value = best_time(huge)
+    assert huge_value == default_value
+    assert huge_s < 3.0 * default_s + 0.005
 
 
 def test_adaptive_truncation_reports_divergence():

@@ -272,6 +272,48 @@ def test_zonal_layer_edge_cases():
         zonal_layer(eigs, -1)
 
 
+def test_group_compositions_matches_unique_rows():
+    """The base-(w+1) keys group compositions exactly as np.unique(axis=0) does."""
+    for weight in range(31):
+        for d in range(1, 6):
+            comps = zonal._compositions(weight, d)
+            assert (comps.sum(axis=1) == weight).all()
+            lams, lam_index = zonal._group_compositions(comps, weight)
+            ref_lams, ref_index = np.unique(-np.sort(-comps, axis=1), axis=0, return_inverse=True)
+            assert np.array_equal(lams, ref_lams), (weight, d)
+            assert np.array_equal(lam_index, ref_index.ravel()), (weight, d)
+
+
+def test_layer_values_equal_zonal_layer(rng):
+    for d in range(1, 6):
+        eigs = rng.uniform(0.2, 2.0, d)
+        for weight in range(25):
+            parts, values = zonal._layer_values(eigs, weight)
+            layer = zonal_layer(eigs, weight)
+            assert parts.shape == (len(layer), d)
+            assert [tuple(int(m) for m in row if m) for row in parts] == list(layer)
+            assert values.tolist() == list(layer.values())
+
+
+@pytest.mark.parametrize("weight,d", [(0, 3), (7, 1), (12, 2), (24, 3), (22, 4), (18, 5)])
+def test_flat_gather_equals_fancy_gather(rng, weight, d):
+    """The flat-index take gathers what powers[rows, exponents] did, bit for bit."""
+    eigs = rng.uniform(0.2, 2.0, d)
+    flat = zonal._layer_data(weight, d)[3]
+    powers = eigs[:, None] ** np.arange(weight + 1)
+    exps = zonal._compositions(weight, d).T.astype(np.min_scalar_type(weight))
+    fancy = powers[np.arange(d)[:, None], exps]
+    taken = powers.ravel().take(flat)
+    assert np.array_equal(taken, fancy)
+    assert np.array_equal(np.prod(taken, axis=0), np.prod(fancy, axis=0))
+
+
+def test_layer_index_is_uint16_and_small():
+    _, parts, _, flat, _ = zonal._layer_data(28, 5)
+    assert flat.dtype == np.uint16
+    assert flat.nbytes + parts.nbytes < 2**20
+
+
 def test_identity_values_match_closed_form():
     cases = {
         ((2,), 2): F(8, 3),
