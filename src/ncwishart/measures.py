@@ -424,6 +424,10 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
+# Largest w whose factorial converts to a float (171! > 1.8e308).
+_FACTORIAL_FLOAT_MAX = 170
+
+
 def _zonal_series(
     eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray], policy: TruncationPolicy
 ) -> float:
@@ -431,12 +435,25 @@ def _zonal_series(
 
     *weights* maps the padded parts of one weight layer (kappa x d, in
     table order) to one weight per kappa; each layer is the dot product of
-    those weights with the layer's C_kappa values.
+    those weights with the layer's C_kappa values.  Up to weight
+    ``_FACTORIAL_FLOAT_MAX`` the dot product is divided by w! as a float;
+    past it w! leaves double range, and the division is made in log scale
+    with lgamma(w + 1), keeping the sign.  A layer that is not finite
+    raises :class:`DomainError`.
     """
 
     def layer(w: int) -> float:
         parts, values = _layer_values(eigs, w)
-        return float(values @ weights(parts)) / math.factorial(w)
+        dot = float(values @ weights(parts))
+        if w <= _FACTORIAL_FLOAT_MAX:
+            value = dot / math.factorial(w)
+        elif dot != 0.0 and math.isfinite(dot):
+            value = math.copysign(math.exp(math.log(abs(dot)) - math.lgamma(w + 1)), dot)
+        else:
+            value = dot
+        if not math.isfinite(value):
+            raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
+        return value
 
     return _sum_weight_layers(layer, policy)
 

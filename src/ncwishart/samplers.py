@@ -26,7 +26,7 @@ import numpy as np
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
 from .symcore import _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
-from .zonal import McEstimate, _conjugate
+from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
     "RANK_EVENT_TOL",
@@ -257,15 +257,6 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
 
 def _trace_pairing(draws: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.einsum("bij,ji->b", draws, s)
-
-
-def _mc_mean(values: np.ndarray) -> McEstimate:
-    n = values.size
-    if n < 2:
-        raise ValueError("need at least two draws for a standard error")
-    return McEstimate(
-        float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n
-    )
 
 
 def empirical_laplace(draws: np.ndarray, s) -> McEstimate:

@@ -660,7 +660,10 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
     ys[i, j] holds entry (i, j) of every matrix, shape (d, d, n).  The
     Cholesky pivots p_j = minor_j / minor_{j-1} come from the column
     recurrence over the whole stack; a matrix with a pivot that is not
-    positive goes through :func:`_delta_minors_general` on its own.
+    positive goes through :func:`_delta_minors_general` on its own.  The
+    log minors are the running sums of the log pivots, formed row by row:
+    the additions of ``np.cumsum(axis=0)`` in the same order, without its
+    strided walk down the short axis.
     """
     d, n = ys.shape[0], ys.shape[2]
     chol = np.zeros_like(ys)
@@ -672,7 +675,10 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
             root = np.sqrt(pivots[j])
             for i in range(j + 1, d):
                 chol[i, j] = (ys[i, j] - np.einsum("kn,kn->n", chol[i, :j], lj)) / root
-        out = np.exp(exps @ np.cumsum(np.log(pivots), axis=0))
+        logs = np.log(pivots)
+        for j in range(1, d):
+            logs[j] += logs[j - 1]
+        out = np.exp(exps @ logs)
     for b in np.flatnonzero(~np.all(pivots > 0.0, axis=0)):
         out[b] = _delta_minors_general(ys[:, :, b], exps)
     return out
@@ -709,12 +715,39 @@ class McEstimate:
     n_samples: int
 
 
-# Haar rotations per batch in phi_kappa_mc; it bounds the working arrays.
-# Each batch step is a handful of whole-array operations, long enough at
-# this size to release the interpreter lock for most of the time, so
-# threaded callers overlap.  Every draw is computed on its own, so the
-# values do not depend on the batch size.
+def _mc_mean(values: np.ndarray) -> McEstimate:
+    """Sample mean of per-draw values with its standard error."""
+    n = values.size
+    if n < 2:
+        raise ValueError("need at least two draws for a standard error")
+    return McEstimate(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
+
+
+# Haar rotations per batch of the Monte Carlo walks; it bounds the working
+# arrays to a few MB.  Each batch step is a handful of whole-array
+# operations, long enough at this size to release the interpreter lock for
+# most of the time, so threaded callers overlap.  Every draw is computed on
+# its own, so the values do not depend on the batch size.
 _MC_BATCH = 16384
+
+
+def _haar_conjugates(
+    a: np.ndarray, m: int, n: int, rng: np.random.Generator
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Leading m x m blocks of u a u^T for n Haar draws u, batch by batch.
+
+    u is Haar on O(c), c = a.shape[0]; a is one symmetric matrix or one per
+    draw stored entries first, shape (c, c, n).  Yields (s, y) for
+    consecutive slices s of at most ``_MC_BATCH`` draws, with y the blocks
+    of those draws, entries first (see :func:`_conjugate`).  The batches
+    take their normals from rng one after another, which gives the same
+    normals, in the same order, as one draw of all n rotations.
+    """
+    c = a.shape[0]
+    for lo in range(0, n, _MC_BATCH):
+        s = slice(lo, min(lo + _MC_BATCH, n))
+        u = _haar_columns(c, s.stop - lo, rng)
+        yield s, _conjugate(u, a if a.ndim == 2 else a[:, :, s], m)
 
 
 def phi_kappa_mc(
@@ -725,9 +758,11 @@ def phi_kappa_mc(
 ) -> McEstimate:
     """Haar average Phi_kappa(x) = E[Delta_kappa(u x u^T)], u Haar on O(d).
 
-    Plain Monte Carlo over the Haar rotations of
-    :func:`~ncwishart.symcore.haar_orthogonal_batch`, processed in batches.
-    Returns the sample mean with its standard error.
+    Plain Monte Carlo over Haar rotations formed by
+    :func:`~ncwishart.symcore._haar_columns` from the same normals as
+    :func:`~ncwishart.symcore.haar_orthogonal_batch`, entries first, in
+    batches of ``_MC_BATCH`` draws (:func:`_haar_conjugates`).  Returns the
+    sample mean with its standard error.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
@@ -735,15 +770,9 @@ def phi_kappa_mc(
     d = a.shape[0]
     exps = _minor_exponents(kappa, d)
     vals = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        b = min(_MC_BATCH, n_samples - done)
-        u = _haar_columns(d, b, rng)
-        vals[done : done + b] = _delta_batch(_conjugate(u, a, d), exps)
-        done += b
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return McEstimate(estimate=est, std_error=se, n_samples=n_samples)
+    for s, y in _haar_conjugates(a, d, n_samples, rng):
+        vals[s] = _delta_batch(y, exps)
+    return _mc_mean(vals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -779,6 +808,14 @@ def zonal_lemma_checks(
       where z_u is the leading (d-1) x (d-1) block of u x u^T.  Checked by
       nested Monte Carlo against a direct Phi_kappa estimate; the reported
       std_error combines both estimators.
+
+    The nested estimate walks the draws in ``_MC_BATCH`` batches
+    (:func:`_haar_conjugates`) and keeps the draw order of one whole-sample
+    pass: first every d-dimensional rotation u, whose blocks z_u are kept
+    in one (d-1, d-1, n) array, then every (d-1)-dimensional rotation v,
+    each batch of which conjugates its slice of z_u and is reduced by
+    :func:`_delta_batch` at once.  No whole-sample (d, d, n) array is
+    held.
     """
     kap = Partition.of(kappa)
     a = sym_entries(x)
@@ -808,13 +845,16 @@ def zonal_lemma_checks(
         direct = phi_kappa_mc(a, kap, n_samples, rng)
         m_last = parts[-1]
         inner = tuple(p - m_last for p in parts[:-1])
-        z = _conjugate(_haar_columns(d, n_samples, rng), a, d - 1)
-        w = _conjugate(_haar_columns(d - 1, n_samples, rng), z, d - 1)
+        inner_exps = _minor_exponents(inner, d - 1)
         det_pow = float(np.linalg.det(a)) ** m_last
-        vals = det_pow * _delta_batch(w, _minor_exponents(inner, d - 1))
-        nested = float(np.mean(vals))
-        nested_se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-        se = math.hypot(nested_se, direct.std_error)
-        checks.append(LemmaCheck("trailing_part_reduction", nested, direct.estimate, se))
+        z = np.empty((d - 1, d - 1, n_samples))
+        for s, y in _haar_conjugates(a, d - 1, n_samples, rng):
+            z[:, :, s] = y
+        vals = np.empty(n_samples)
+        for s, w in _haar_conjugates(z, d - 1, n_samples, rng):
+            vals[s] = det_pow * _delta_batch(w, inner_exps)
+        nested = _mc_mean(vals)
+        se = math.hypot(nested.std_error, direct.std_error)
+        checks.append(LemmaCheck("trailing_part_reduction", nested.estimate, direct.estimate, se))
 
     return checks

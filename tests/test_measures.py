@@ -33,7 +33,7 @@ from ncwishart import (
     reduce_to_canonical,
     singular_r_laplace,
 )
-from ncwishart import zonal
+from ncwishart import measures, zonal
 from ncwishart.measures import _fd_stencil_weights, _log_multivariate_gammas, _sum_weight_layers
 from ncwishart.symcore import sym_entries
 from ncwishart.zonal import c_kappa_identity, multivariate_gamma, zonal_layer
@@ -375,6 +375,52 @@ def test_huge_max_weight_costs_nothing_up_front():
     huge_s, huge_value = best_time(huge)
     assert huge_value == default_value
     assert huge_s < 3.0 * default_s + 0.005
+
+
+def test_series_past_weight_170_stay_finite():
+    """171! leaves double range; the layers past it divide in log scale."""
+    past = TruncationPolicy(TruncationMode.FIXED, max_weight=200)
+    x = np.diag([0.1])
+    assert density_m_fullrank(x, 1.0, past) == pytest.approx(density_m_fullrank(x, 1.0), rel=1e-15)
+    s = np.diag([2.0, 3.0])
+    assert lt_fd_series(s, 2, past) == pytest.approx(lt_fd_series(s, 2), rel=1e-15)
+    assert singular_r_laplace(s, 2, past) == pytest.approx(singular_r_laplace(s, 2), rel=1e-15)
+
+
+def test_layers_past_weight_170_match_exact_division(monkeypatch):
+    # inverse eigenvalues near 10 keep every layer through weight 200 finite
+    # and nonzero, so the log-scale division is what the test sees
+    layers = {}
+
+    def record_layers(layer, policy):
+        layers.update((w, layer(w)) for w in range(policy.max_weight + 1))
+        return 0.0
+
+    monkeypatch.setattr(measures, "_sum_weight_layers", record_layers)
+    s = np.diag([0.1, 0.12])
+    lt_fd_series(s, 2, TruncationPolicy(TruncationMode.FIXED, max_weight=200))
+    inv_eigs = 1.0 / np.diag(s)[::-1]
+    for w in range(160, 201):
+        parts, values = zonal._layer_values(inv_eigs, w)
+        dot = float(values @ (parts[:, -1] > 0))
+        exact = float(Fraction(dot) / math.factorial(w))
+        assert layers[w] > 0.0
+        if w <= 170:
+            assert layers[w] == dot / math.factorial(w)
+        else:
+            # log|dot| and lgamma(w + 1) are near 600-860, where one ulp is
+            # 1.1e-13, so exp of their difference is good to a few 1e-13
+            assert layers[w] == pytest.approx(exact, rel=5e-13, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_layer_is_a_domain_error():
+    past = TruncationPolicy(TruncationMode.FIXED, max_weight=200)
+    # C_kappa(1000, 1000) passes double range near weight 100
+    with pytest.raises(DomainError, match="not finite"):
+        lt_fd_series(np.diag([1e-3, 1e-3]), 2, past)
+    with pytest.raises(DomainError, match="not finite"):
+        density_m_fullrank(np.diag([1e3, 1e3]), 1.5, past)
 
 
 def test_adaptive_truncation_reports_divergence():

@@ -19,6 +19,7 @@ from ncwishart import (
 )
 from ncwishart.report import coordinate_names, format_float
 from ncwishart.symcore import lebesgue_coords
+from ncwishart.verify import RunConfig, run_suite
 
 
 def record(name="check", value=1.0, expected=1.0, tol=0.0, passed=True, detail=""):
@@ -70,6 +71,16 @@ def test_report_json_schema_and_stability():
     other.add(record(value=2.5, expected=2.5))
     other.timing = 9.876
     assert rep.to_json(include_timing=False) == other.to_json(include_timing=False)
+
+
+def test_suite_records_do_not_depend_on_thread_count():
+    # the threaded checks draw from per-item generators; this guards their
+    # draw order across the pool
+    docs = [
+        json.loads(run_suite("all", RunConfig(seed=0, trials=20, threads=t)).to_json())["results"]
+        for t in (1, 2)
+    ]
+    assert docs[0] == docs[1]
 
 
 def test_report_csv_escaping():

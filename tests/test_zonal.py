@@ -442,6 +442,87 @@ def test_phi_kappa_mc_does_not_depend_on_batch_size(monkeypatch):
     assert phi_kappa_mc(x, (3, 1), 5000, np.random.default_rng(9)) == full
 
 
+def _delta_batch_cumsum(ys, exps):
+    # _delta_batch as it was with np.cumsum over the log pivots
+    d, n = ys.shape[0], ys.shape[2]
+    chol = np.zeros_like(ys)
+    pivots = np.empty((d, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(d):
+            lj = chol[j, :j]
+            pivots[j] = ys[j, j] - np.einsum("kn,kn->n", lj, lj)
+            root = np.sqrt(pivots[j])
+            for i in range(j + 1, d):
+                chol[i, j] = (ys[i, j] - np.einsum("kn,kn->n", chol[i, :j], lj)) / root
+        out = np.exp(exps @ np.cumsum(np.log(pivots), axis=0))
+    for b in np.flatnonzero(~np.all(pivots > 0.0, axis=0)):
+        out[b] = zonal._delta_minors_general(ys[:, :, b], exps)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_delta_batch_equals_cumsum_formula(d):
+    rng = np.random.default_rng(100 + d)
+    n = 3001
+    g = rng.standard_normal((n, d, d + 1))
+    stack = g @ np.swapaxes(g, 1, 2) + 1e-3 * np.eye(d)
+    # exactly singular PSD rows (a zero on the diagonal) take the explicit minors
+    singular = rng.choice(n, size=40, replace=False)
+    for b in singular:
+        diag = rng.uniform(0.5, 2.0, size=d)
+        diag[rng.integers(d)] = 0.0
+        stack[b] = np.diag(diag)
+    ys = np.ascontiguousarray(stack.transpose(1, 2, 0))
+    kappas = [(3, 1, 1, 0, 0)[:d], (2.5, 1.0, 0.5, 0.5, 0.0)[:d], tuple(range(2 * d, 0, -2))]
+    for kappa in kappas:
+        exps = zonal._minor_exponents(kappa, d)
+        got = zonal._delta_batch(ys, exps)
+        ref = _delta_batch_cumsum(ys, exps)
+        assert got.tobytes() == ref.tobytes()
+
+
+def _lemma_checks_unchunked(x, kappa, n_samples, rng, power):
+    # zonal_lemma_checks as one whole-sample pass over each Haar draw
+    a = np.asarray(x, dtype=float)
+    d = a.shape[0]
+    parts = Partition.of(kappa).padded(d)
+
+    def max_rel_dev(lhs, rhs):
+        scale = np.maximum(np.abs(lhs), np.abs(rhs))
+        return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
+
+    ys = zonal._conjugate(zonal._haar_columns(d, min(n_samples, 256), rng), a, d)
+    stacked = ys.transpose(2, 0, 1)
+    exps = zonal._minor_exponents(parts, d)
+    lhs = zonal._delta_batch(ys, zonal._minor_exponents(np.array(parts, dtype=float) + power, d))
+    shift = max_rel_dev(lhs, zonal._delta_batch(ys, exps) * np.linalg.det(stacked) ** power)
+    lhs = zonal._delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), exps)
+    rev = tuple(-p for p in reversed(parts))
+    reversal = max_rel_dev(lhs, zonal._delta_batch(ys[::-1, ::-1], zonal._minor_exponents(rev, d)))
+
+    direct = zonal._delta_batch(zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d), exps)
+    z = zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d - 1)
+    w = zonal._conjugate(zonal._haar_columns(d - 1, n_samples, rng), z, d - 1)
+    inner = zonal._minor_exponents(tuple(p - parts[-1] for p in parts[:-1]), d - 1)
+    nested = float(np.linalg.det(a)) ** parts[-1] * zonal._delta_batch(w, inner)
+    se = [float(np.std(v, ddof=1) / math.sqrt(n_samples)) for v in (nested, direct)]
+    return [
+        (shift, 0.0, 0.0),
+        (reversal, 0.0, 0.0),
+        (float(np.mean(nested)), float(np.mean(direct)), math.hypot(*se)),
+    ]
+
+
+@pytest.mark.parametrize("d, kappa", [(2, (3, 1)), (3, (3, 2, 1))])
+def test_nested_estimate_matches_unchunked_loop(monkeypatch, d, kappa):
+    x = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])[:d, :d]
+    ref = _lemma_checks_unchunked(x, kappa, 2500, np.random.default_rng(d), 1.3)
+    monkeypatch.setattr(zonal, "_MC_BATCH", 1000)
+    checks = zonal.zonal_lemma_checks(x, kappa, 2500, np.random.default_rng(d), power=1.3)
+    assert [(c.value, c.expected, c.std_error) for c in checks] == ref
+    assert checks[2].std_error > 0.0
+
+
 def test_exp_trace_partial_sum_converges_honestly():
     target = math.exp(2.0)
     err12 = abs(exp_trace_partial_sum(np.eye(2), 12) - target) / target
