@@ -596,22 +596,46 @@ def m122_laplace_cone(a: float, b: float, c: float) -> float:
     return quad**-0.5 * math.exp(2.0 * a / quad)
 
 
+# Past this argument cosh(t) is e^t / 2 to roundoff (e^(-2t) < 1e-600), so
+# the cosh-type densities switch to their log there: math.cosh overflows at
+# t = 710.5, while the density can still be finite.
+_COSH_ARG_MAX = 700.0
+
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
+
+def _exp_within_range(log_value: float) -> float:
+    if log_value > _LOG_DOUBLE_MAX:
+        raise DomainError(f"the density exceeds the double range: its log is {log_value:.6g}")
+    return math.exp(log_value)
+
+
 def m122_singular_density(y: float, z: float) -> float:
     """Density of the singular part of m(1, 2, 2) on its boundary sheet.
 
     The rank-one part lives on the sheet x = sqrt(y^2 + z^2); in the chart
     (y, z) its density against dy dz is g(2 rho) with rho = sqrt(y^2+z^2)
     and g(u) = (2 / (pi u)) cosh(2 sqrt(u)).  Integrable but divergent at
-    the apex, which is excluded.
+    the apex, which is excluded.  A coordinate that is not finite, or a
+    density beyond the double range, raises DomainError.
     """
     rho = math.hypot(y, z)
+    if not math.isfinite(rho):
+        raise DomainError("the sheet coordinates (y, z) must be finite")
     if rho <= 0:
         raise DomainError("the sheet chart density diverges at the apex (y, z) = (0, 0)")
     u = 2.0 * rho
-    return (2.0 / (math.pi * u)) * math.cosh(2.0 * math.sqrt(u))
+    root = 2.0 * math.sqrt(u)
+    if root <= _COSH_ARG_MAX:
+        return (2.0 / (math.pi * u)) * math.cosh(root)
+    # e^root / (pi u), with 2 rho kept out of the logs so that it cannot overflow
+    return _exp_within_range(2.0 * math.sqrt(2.0) * math.sqrt(rho) - math.log(2.0 * math.pi) - math.log(rho))
 
 
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+# Points per slice of m122_ac_density: the slice's (n_m, slice) power
+# buffer stays a few MB, and each slice step is a few whole-slice
+# operations.
+_AC_SLICE = 4096
 
 
 def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
@@ -630,14 +654,18 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
     the continuous extension.  A point outside the closed cone, or a
     density beyond the double range, raises DomainError.
 
-    All points share one table g[m, k] = X^m Q^k / (m! k! (k+1)! Gamma(m +
+    Each call builds one table g[m, k] = X^m Q^k / (m! k! (k+1)! Gamma(m +
     2k + 5/2)), where X and Q are the call's largest 2x and q (at least 1),
-    so the sum is one matrix product of the rows (2x/X)^m with g, weighted
-    by (q/Q)^k.  No scaled power exceeds 1, and g is built from running
-    products of term ratios, so at a single point nothing leaves double
-    range before the density does.  An array whose largest x and largest q
-    belong to different points can raise near the top of the range although
-    each point alone is finite.
+    with its sizes set by X and Q, so a point's value does not depend on
+    how the points are sliced.  The flattened points are walked in slices
+    of ``_AC_SLICE``, reusing one power buffer and one row buffer.  In a
+    slice the powers (2x/X)^m are running products, the rows are one
+    matrix product g^T (2x/X)^m, and the sum over k is a Horner sum in
+    q/Q.  A scalar is the one-point case of the same walk.  No scaled power
+    exceeds 1, and g is built from running products of term ratios, so at
+    a single point nothing leaves double range before the density does.
+    An array whose largest x and largest q belong to different points can
+    raise near the top of the range although each point alone is finite.
     """
     if y is None:
         x, y, z = p.x, p.y, p.z
@@ -673,11 +701,30 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
     g[0, 0] = 1.0 / math.gamma(2.5)
     g[0, 1:] = scale_q / (k[1:] * (k[1:] + 1.0) * (2.0 * k[1:] + 0.5) * (2.0 * k[1:] + 1.5))
     g[1:] = scale_x / (m[1:, None] * (m[1:, None] + 2.0 * k + 1.5))
+    n = two_x.size
+    width = min(n, _AC_SLICE)
+    powers = np.empty(n_m * width)
+    rows = np.empty(n_k * width)
+    f = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(g[0], out=g[0])
         np.cumprod(g, axis=0, out=g)
-        rows = ((two_x / scale_x)[:, None] ** m) @ g
-        f = 2.0 / math.sqrt(math.pi) * np.einsum("ik,ik->i", rows, (q / scale_q)[:, None] ** k)
+        for lo in range(0, n, _AC_SLICE):
+            hi = min(lo + _AC_SLICE, n)
+            u = two_x[lo:hi] / scale_x
+            v = q[lo:hi] / scale_q
+            pw = powers[: n_m * (hi - lo)].reshape(n_m, hi - lo)
+            rw = rows[: n_k * (hi - lo)].reshape(n_k, hi - lo)
+            pw[0] = 1.0
+            for i in range(1, n_m):
+                np.multiply(pw[i - 1], u, out=pw[i])
+            np.matmul(g.T, pw, out=rw)
+            acc = f[lo:hi]
+            acc[:] = rw[-1]
+            for row in rw[-2::-1]:
+                acc *= v
+                acc += row
+        f *= 2.0 / math.sqrt(math.pi)
     if not np.isfinite(f).all():
         raise DomainError("the density exceeds the double range")
     f = f.reshape(x.shape)
@@ -685,10 +732,20 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
 
 
 def m111_density(lam: float) -> float:
-    """Density of m(1, 1, 1) on (0, infinity): cosh(2 sqrt(lam)) / sqrt(pi lam)."""
+    """Density of m(1, 1, 1) on (0, infinity): cosh(2 sqrt(lam)) / sqrt(pi lam).
+
+    An argument that is not finite, or a density beyond the double range,
+    raises DomainError.
+    """
+    if not math.isfinite(lam):
+        raise DomainError("lam must be finite")
     if lam <= 0:
         raise DomainError("the density lives on lam > 0")
-    return math.cosh(2.0 * math.sqrt(lam)) / math.sqrt(math.pi * lam)
+    root = 2.0 * math.sqrt(lam)
+    if root <= _COSH_ARG_MAX:
+        return math.cosh(root) / math.sqrt(math.pi * lam)
+    # e^root / (2 sqrt(pi lam)), with pi lam kept out of the logs so that it cannot overflow
+    return _exp_within_range(root - math.log(2.0) - 0.5 * (math.log(math.pi) + math.log(lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -311,18 +311,16 @@ _QUAD_N_RHO = 18
 _QUAD_N_X = 18
 _QUAD_ORDER = 8
 _QUAD_N_THETA = 64
+# The reference rule on [-1, 1], built once.
+_LEGENDRE_X, _LEGENDRE_W = np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
 
-def _panel_rule(a: float, b: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+def _panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of _QUAD_ORDER-point Gauss-Legendre panels on [a, b], panel by panel."""
     edges = np.linspace(a, b, panels + 1)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * base_x + 0.5 * (hi + lo))
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (half * _LEGENDRE_X + 0.5 * (hi + lo)).ravel(), (half * _LEGENDRE_W).ravel()
 
 
 def m122_lt_quadrature(a: float, b: float, c: float) -> float:
@@ -331,8 +329,10 @@ def m122_lt_quadrature(a: float, b: float, c: float) -> float:
     Integrates exp(-2(ax + by + cz)) against the singular sheet plus the
     interior density in the polar coordinates (x, rho, theta) of the cone
     of revolution: Gauss-Legendre panels in x and rho, trapezoid in the
-    periodic angle.  Requires a > sqrt(b^2 + c^2) with enough margin for
-    the truncated domain to carry the mass.
+    periodic angle.  The interior density is one m122_ac_density call on
+    the whole (rho, x) node grid, _QUAD_N_RHO * _QUAD_ORDER by
+    _QUAD_N_X * _QUAD_ORDER points.  Requires a > sqrt(b^2 + c^2) with
+    enough margin for the truncated domain to carry the mass.
     """
     beta = math.hypot(b, c)
     margin = a - beta
@@ -344,7 +344,7 @@ def m122_lt_quadrature(a: float, b: float, c: float) -> float:
     theta = np.linspace(0.0, 2.0 * math.pi, _QUAD_N_THETA, endpoint=False)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-    rho, w_rho = _panel_rule(0.0, rho_max, _QUAD_N_RHO, _QUAD_ORDER)
+    rho, w_rho = _panel_rule(0.0, rho_max, _QUAD_N_RHO)
     # angular factor integral(exp(-2 rho (b cos + c sin))) d theta
     ang = (2.0 * math.pi) * np.exp(
         -2.0 * rho[:, None] * (b * cos_t + c * sin_t)[None, :]
@@ -360,12 +360,11 @@ def m122_lt_quadrature(a: float, b: float, c: float) -> float:
         )
     )
 
-    t_nodes, w_t = _panel_rule(0.0, x_tail, _QUAD_N_X, _QUAD_ORDER)
-    interior = 0.0
-    for r, wr, angle in zip(rho, w_rho, ang):
-        xs = r + t_nodes
-        inner = float(np.sum(w_t * np.exp(-2.0 * a * xs) * m122_ac_density(xs, r, 0.0)))
-        interior += wr * r * angle * inner
+    t_nodes, w_t = _panel_rule(0.0, x_tail, _QUAD_N_X)
+    # One density call on the whole (rho, x) grid; row i is the x line at rho[i].
+    xs = rho[:, None] + t_nodes
+    inner = (np.exp(-2.0 * a * xs) * m122_ac_density(xs, rho[:, None], 0.0)) @ w_t
+    interior = float(np.sum(w_rho * rho * ang * inner))
     return sheet + interior
 
 

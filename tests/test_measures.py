@@ -477,6 +477,40 @@ def test_m122_singular_density_chart():
         m122_singular_density(0.0, 0.0)
 
 
+@pytest.mark.parametrize("rho", [6.15e4, 6.2e4, 6.3e4])
+def test_cosh_densities_in_log_scale_match_the_direct_form(rho):
+    """Past cosh argument 700 both densities are taken in log scale; cosh still fits there."""
+    root = 2.0 * math.sqrt(2.0 * rho)
+    assert 700.0 < root < 710.0
+    # a log near 700 is rounded to a unit of 1.1e-13, and so is the exp of it
+    rel = 4e-13
+    assert m122_singular_density(rho, 0.0) == pytest.approx(
+        2.0 / (math.pi * 2.0 * rho) * math.cosh(root), rel=rel
+    )
+    lam = 2.0 * rho
+    assert m111_density(lam) == pytest.approx(math.cosh(root) / math.sqrt(math.pi * lam), rel=rel)
+
+
+def test_cosh_densities_stay_finite_just_past_cosh_overflow():
+    # cosh overflows at 710.5; the densities carry a 1/u factor and stay finite a little beyond
+    for lam in (1.27e5, 1.28e5):
+        assert 2.0 * math.sqrt(lam) > 710.5
+        assert math.isfinite(m111_density(lam))
+        assert math.isfinite(m122_singular_density(lam / 2.0, 0.0))
+
+
+@pytest.mark.parametrize("value", [1e6, 1e300, 1.7e308, math.inf, -math.inf, math.nan])
+def test_cosh_densities_raise_domain_error_on_huge_or_non_finite_input(value):
+    with pytest.raises(DomainError):
+        m111_density(value)
+    with pytest.raises(DomainError):
+        m122_singular_density(value, 0.0)
+    with pytest.raises(DomainError):
+        m122_singular_density(0.5, value)
+    with pytest.raises(DomainError):
+        m122_singular_density(value, value)
+
+
 def test_m122_ac_density_is_scaled_fd_density(rng):
     """The cone-coordinate density is 2*sqrt(2) times f_2 composed with the chart."""
     scale = 2.0 * math.sqrt(2.0)
@@ -544,24 +578,101 @@ def test_m122_ac_density_matches_scalar_reference(x, frac):
     assert m122_ac_density(np.array([x]), np.array([y]), 0.0)[0] == pytest.approx(expected, rel=1e-12)
 
 
+_D2_ROUNDTRIP_POINTS = [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]
+
+
 def test_m122_ac_density_matches_reference_at_quadrature_nodes(monkeypatch):
-    """Every node of the d2-roundtrip quadratures, evaluated a rho row at a time."""
+    """Every node of the d2-roundtrip quadratures, each quadrature one call on its node grid."""
     from ncwishart import verify
 
-    rows = []
+    calls = []
 
     def recording(xs, r, z):
         value = m122_ac_density(xs, r, z)
-        rows.append((xs, r, z, value))
+        calls.append((xs, r, z, value))
         return value
 
     monkeypatch.setattr(verify, "m122_ac_density", recording)
-    for a, b, c in [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]:
+    for a, b, c in _D2_ROUNDTRIP_POINTS:
         verify.m122_lt_quadrature(a, b, c)
-    assert len(rows) == 5 * verify._QUAD_N_RHO * verify._QUAD_ORDER
-    for xs, r, z, value in rows:
-        expected = np.array([_m122_ac_reference(x, r, z) for x in xs])
-        np.testing.assert_allclose(value, expected, rtol=1e-12, atol=0.0)
+    n_rho, n_x = verify._QUAD_N_RHO * verify._QUAD_ORDER, verify._QUAD_N_X * verify._QUAD_ORDER
+    assert len(calls) == 5
+    assert sum(value.size for *_, value in calls) == 5 * n_rho * n_x
+    for xs, r, z, value in calls:
+        assert value.shape == (n_rho, n_x)
+        xs, r, z = np.broadcast_arrays(xs, r, z)
+        nodes = zip(xs.ravel().tolist(), r.ravel().tolist(), z.ravel().tolist())
+        expected = np.array([_m122_ac_reference(*node) for node in nodes])
+        np.testing.assert_allclose(value.ravel(), expected, rtol=1e-12, atol=0.0)
+
+
+def _panel_rule_loop(a, b, panels, order):
+    """The panel rule built one panel at a time, with its own Legendre rule."""
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        nodes.append(half * base_x + 0.5 * (hi + lo))
+        weights.append(half * base_w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("a,b,panels", [(0.0, 9.0 / 0.29, 18), (0.0, 17.0, 18), (0.3, 2.7, 5), (-1.0, 1.0, 1)])
+def test_panel_rule_equals_panel_loop_bit_for_bit(a, b, panels):
+    from ncwishart import verify
+
+    nodes, weights = verify._panel_rule(a, b, panels)
+    ref_nodes, ref_weights = _panel_rule_loop(a, b, panels, verify._QUAD_ORDER)
+    assert np.array_equal(nodes, ref_nodes)
+    assert np.array_equal(weights, ref_weights)
+
+
+def _m122_lt_quadrature_by_rows(a, b, c):
+    """The d = 2 transform quadrature with one density call per rho row."""
+    from ncwishart import verify
+
+    rho_max = 9.0 / (a - math.hypot(b, c))
+    x_tail = 9.0 / a + 8.0 / (a * a)
+    theta = np.linspace(0.0, 2.0 * math.pi, verify._QUAD_N_THETA, endpoint=False)
+    rho, w_rho = _panel_rule_loop(0.0, rho_max, verify._QUAD_N_RHO, verify._QUAD_ORDER)
+    ang = (2.0 * math.pi) * np.exp(
+        -2.0 * rho[:, None] * (b * np.cos(theta) + c * np.sin(theta))[None, :]
+    ).mean(axis=1)
+    sheet_density = np.array([m122_singular_density(r, 0.0) for r in rho])
+    sheet = float(np.sum(w_rho * np.exp(-2.0 * a * rho) * sheet_density * rho * ang))
+    t_nodes, w_t = _panel_rule_loop(0.0, x_tail, verify._QUAD_N_X, verify._QUAD_ORDER)
+    interior = 0.0
+    for r, wr, angle in zip(rho, w_rho, ang):
+        xs = r + t_nodes
+        inner = float(np.sum(w_t * np.exp(-2.0 * a * xs) * m122_ac_density(xs, r, 0.0)))
+        interior += wr * r * angle * inner
+    return sheet + interior
+
+
+@pytest.mark.parametrize("a,b,c", _D2_ROUNDTRIP_POINTS)
+def test_m122_lt_quadrature_equals_row_by_row_quadrature(a, b, c):
+    from ncwishart import verify
+
+    assert verify.m122_lt_quadrature(a, b, c) == pytest.approx(_m122_lt_quadrature_by_rows(a, b, c), rel=1e-14)
+
+
+def test_m122_ac_density_across_slice_boundaries(monkeypatch):
+    """More than two slices of mixed x scales, sheet points included, against the scalar loop."""
+    rng = np.random.default_rng(11)
+    n = 2 * measures._AC_SLICE + 123
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), n))
+    frac = rng.uniform(0.0, 1.0, n)
+    frac[rng.random(n) < 0.25] = 1.0  # on the sheet, q = 0
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    y, z = frac * x * np.cos(angle), frac * x * np.sin(angle)
+    on_sheet = frac == 1.0
+    y[on_sheet], z[on_sheet] = x[on_sheet], 0.0
+    values = m122_ac_density(x, y, z)
+    expected = np.array([_m122_ac_reference(*point) for point in zip(x.tolist(), y.tolist(), z.tolist())])
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0)
+    monkeypatch.setattr(measures, "_AC_SLICE", 7)
+    np.testing.assert_allclose(m122_ac_density(x, y, z), values, rtol=1e-15, atol=0.0)
 
 
 def test_m122_ac_density_array_api():
