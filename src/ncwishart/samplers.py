@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -129,31 +130,59 @@ def _integer_shape(shape: float) -> int:
     return n
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int >= least; numpy integers pass, floats raise ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return count
+
+
+def _gaussian_sum_stack(
+    means: np.ndarray, chol: np.ndarray, n_draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draws of sum_k Y_k Y_k^T, Y_k = chol z_k + means[k], stacked entries first.
+
+    The (n_draws, n, d) standard normals are drawn from rng as one block.
+    They are copied once entries first and coloured by a single
+    ``chol @ z`` product over all n * n_draws columns, so y[i, k] holds
+    entry i of Y_k for every draw and each entry of the sum is one
+    contiguous reduction over k.  Returns shape (d, d, n_draws), exactly
+    symmetric.
+    """
+    n, d = means.shape
+    z = rng.standard_normal((n_draws, n, d))
+    z = np.ascontiguousarray(z.transpose(2, 1, 0)).reshape(d, n * n_draws)
+    y = (chol @ z).reshape(d, n, n_draws)
+    y += means.T[:, :, None]
+    draws = np.empty((d, d, n_draws))
+    for i in range(d):
+        for j in range(i, d):
+            draws[i, j] = draws[j, i] = np.einsum("kn,kn->n", y[i], y[j])
+    return draws
+
+
 def ncw_sample(params: NcwParams, n_draws: int, rng: np.random.Generator) -> np.ndarray:
     """Exact draws from NCW(n, w, sigma) for integer shape n, stacked (n_draws, d, d).
 
     Each draw is sum_{i<=n} Y_i Y_i^T with independent Gaussian columns
     Y_i ~ N(m_i, sigma) and sum_i m_i m_i^T = 2 w.  Draws are exactly
     symmetric and positive semidefinite; rank is min(n, d) almost surely.
-    Empirical means converge to n sigma + 2 w.
+    Empirical means converge to n sigma + 2 w.  The whole stack is formed
+    entries first by one Gaussian-sum kernel (one colouring product for
+    all draws) and transposed once at the end.
     """
     n = _integer_shape(params.shape)
-    d = params.dim
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    n_draws = _count(n_draws, "n_draws")
     means = decompose_w(2.0 * params.w, n).means
     sig_vals = np.linalg.eigvalsh(params.sigma)
     if sig_vals[0] <= 0.0 or sig_vals[-1] > _MAX_SIGMA_CONDITION * sig_vals[0]:
         raise DomainError("sigma is numerically singular (condition > 1e12)")
     chol = np.linalg.cholesky(params.sigma)
-    y = rng.standard_normal((n_draws, n, d)) @ chol.T + means[None, :, :]
-    # entries first: y[i, k] holds entry i of Y_k for every draw, so each
-    # entry of the sum is one contiguous reduction over k
-    y = np.ascontiguousarray(y.transpose(2, 1, 0))
-    draws = np.empty((d, d, n_draws))
-    for i in range(d):
-        for j in range(i, d):
-            draws[i, j] = draws[j, i] = np.einsum("kn,kn->n", y[i], y[j])
+    draws = _gaussian_sum_stack(means, chol, n_draws, rng)
     return np.ascontiguousarray(draws.transpose(2, 0, 1))
 
 
@@ -193,12 +222,30 @@ class WeightedSample:
         return np.exp(self.log_weights)
 
 
+def _m_measure_stack(
+    spec: MeasureSpec, n_draws: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """m(n, k, d) proposal draws entries first, (d, d, n_draws), and their log-weights."""
+    n = _integer_shape(spec.shape)
+    k, d = spec.rank, spec.dim
+    if k > n:
+        raise DomainError(f"rank index k = {k} exceeds the integer shape n = {n}")
+    n_draws = _count(n_draws, "n_draws")
+    # NCW(n, 2 I(k,d), I_d): the means decompose 2 w = 4 I(k,d)
+    means = decompose_w(4.0 * spec.indicator(), n).means
+    draws = _gaussian_sum_stack(means, np.eye(d), n_draws, rng)
+    log_w = 0.5 * d * n * math.log(2.0) + 2.0 * k + 0.5 * np.trace(draws)
+    return draws, log_w
+
+
 def m_measure_sample(
     spec: MeasureSpec | Sequence, n_draws: int, rng: np.random.Generator
 ) -> WeightedSample:
     """Importance sample for m(n, k, d) with integer shape n and k <= n.
 
-    Proposal law NCW(n, 2 I(k,d), I_d); per-draw log-weight
+    Proposal law NCW(n, 2 I(k,d), I_d), drawn by the same Gaussian-sum
+    kernel as :func:`ncw_sample`, with the traces summed from the
+    entries-first diagonal; per-draw log-weight
 
         (d n / 2) log 2 + 2 k + tr(x) / 2.
 
@@ -209,18 +256,8 @@ def m_measure_sample(
     finite-variance for s > I_d / 2; weighted_laplace_estimate enforces
     that domain.
     """
-    spec = MeasureSpec.of(spec)
-    n = _integer_shape(spec.shape)
-    k, d = spec.rank, spec.dim
-    if k > n:
-        raise DomainError(f"rank index k = {k} exceeds the integer shape n = {n}")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    params = NcwParams(float(n), 2.0 * spec.indicator())
-    draws = ncw_sample(params, n_draws, rng)
-    traces = np.trace(draws, axis1=1, axis2=2)
-    log_w = 0.5 * d * n * math.log(2.0) + 2.0 * k + 0.5 * traces
-    return WeightedSample(draws, log_w)
+    draws, log_w = _m_measure_stack(MeasureSpec.of(spec), n_draws, rng)
+    return WeightedSample(np.ascontiguousarray(draws.transpose(2, 0, 1)), log_w)
 
 
 def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> WeightedSample:
@@ -228,30 +265,25 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
 
     Push-forward construction: x weighted-sampled from m(d-1, d-1, d-1) in
     dimension d - 1, u Haar orthogonal in dimension d, draw u [x 0; 0 0] u^T
-    with the weight multiplied by (pi det x)^(1/2) / Gamma(d/2).  The draw
-    only involves the first d - 1 columns of u, so it is formed as
+    with the weight multiplied by (pi det x)^(1/2) / Gamma(d/2).  The inner
+    x stay entries first as the Gaussian-sum kernel forms them; their
+    log-determinants are taken on a strided (n_draws, d-1, d-1) view.  The
+    draw only involves the first d - 1 columns of u, so it is formed as
     u_{d-1} x u_{d-1}^T from those columns, taken entries first from the
     same normals :func:`haar_orthogonal_batch` would draw.  Draws are exactly
     symmetric, and every draw has rank exactly d - 1 almost surely.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
-    inner = m_measure_sample(MeasureSpec(float(d - 1), d - 1, d - 1), n_draws, rng)
-    sign, logdet = np.linalg.slogdet(inner.draws)
+    d = _count(d, "d", 2)
+    n_draws = _count(n_draws, "n_draws")
+    x, inner_log_w = _m_measure_stack(MeasureSpec(float(d - 1), d - 1, d - 1), n_draws, rng)
+    sign, logdet = np.linalg.slogdet(x.transpose(2, 0, 1))
     if np.any(sign <= 0):
         # x is full rank almost surely; a nonpositive determinant means a
         # degenerate draw slipped through, not a usable sample.
         raise RuntimeError("inner draw with nonpositive determinant")
     cols = _haar_columns(d, n_draws, rng)[: d - 1]
-    x = np.ascontiguousarray(inner.draws.transpose(1, 2, 0))
     draws = np.ascontiguousarray(_conjugate(cols, x, d).transpose(2, 0, 1))
-    log_w = (
-        inner.log_weights
-        + 0.5 * (math.log(math.pi) + logdet)
-        - math.lgamma(d / 2.0)
-    )
+    log_w = inner_log_w + 0.5 * (math.log(math.pi) + logdet) - math.lgamma(d / 2.0)
     return WeightedSample(draws, log_w)
 
 

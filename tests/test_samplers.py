@@ -72,6 +72,12 @@ def test_ncw_sample_shape_symmetry_reproducibility():
     assert np.all(eigs[:, 0] < 1e-10)
 
 
+def _gram(y):
+    """sum_k y_k y_k^T per draw of a stack (N, n, d), by the batched einsum, symmetrized."""
+    ref = np.einsum("bni,bnj->bij", y, y)
+    return 0.5 * (ref + np.swapaxes(ref, 1, 2))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_ncw_sample_equals_batched_einsum_reference(d):
     for n in sorted({1, 2, d + 1}):
@@ -79,13 +85,22 @@ def test_ncw_sample_equals_batched_einsum_reference(d):
         vecs = rng.standard_normal((min(n, d), d))
         params = NcwParams(float(n), 0.3 * vecs.T @ vecs, spd(rng, d))
         draws = ncw_sample(params, 500, np.random.default_rng(11))
-        # the batched einsum, symmetrized, on the same stream
-        gen = np.random.default_rng(11)
+        # the batched einsum, symmetrized, on the same stream, with every
+        # normal of every draw coloured by one flat product
+        z = np.random.default_rng(11).standard_normal((500, n, d))
         means = decompose_w(2.0 * params.w, n).means
-        y = gen.standard_normal((500, n, d)) @ np.linalg.cholesky(params.sigma).T + means
-        ref = np.einsum("bni,bnj->bij", y, y)
-        ref = 0.5 * (ref + np.swapaxes(ref, 1, 2))
+        chol = np.linalg.cholesky(params.sigma)
+        ref = _gram((z.reshape(-1, d) @ chol.T).reshape(500, n, d) + means)
         assert np.array_equal(draws, ref)
+        # the per-draw stacked product runs gemv at n = 1, which rounds its
+        # d-term dots differently; the two differ by at most the rounding
+        # of two d-term dots
+        stacked = _gram(z @ chol.T + means)
+        if n >= 2:
+            assert np.array_equal(draws, stacked)
+        else:
+            bound = d * np.finfo(float).eps * np.max(np.abs(stacked))
+            assert np.max(np.abs(draws - stacked)) <= bound
 
 
 def test_ncw_sample_first_moment(rng):
@@ -153,6 +168,50 @@ def test_m_measure_sample_validates_inputs(rng):
         m_measure_sample(MeasureSpec(1.0, 2, 3), 10, rng)  # rank above shape
     with pytest.raises(DomainError):
         m_measure_sample(MeasureSpec(2.5, 1, 3), 10, rng)  # non-integer shape
+
+
+@pytest.mark.parametrize(
+    "spec", [(2.0, 1, 2), (2.0, 2, 2), (3.0, 0, 3), (3.0, 2, 3), (4.0, 3, 4), (1.0, 1, 1)]
+)
+def test_m_measure_sample_equals_ncw_sample_with_trace_weights(spec):
+    spec = MeasureSpec(*spec)
+    n, k, d = int(spec.shape), spec.rank, spec.dim
+    sample = m_measure_sample(spec, 1000, np.random.default_rng([d, k, 31]))
+    # the proposal law through ncw_sample, weighted by its traces
+    params = NcwParams(float(n), 2.0 * spec.indicator())
+    draws = ncw_sample(params, 1000, np.random.default_rng([d, k, 31]))
+    traces = np.trace(draws, axis1=1, axis2=2)
+    log_w = 0.5 * d * n * math.log(2.0) + 2.0 * k + 0.5 * traces
+    assert np.array_equal(sample.draws, draws)
+    assert np.array_equal(sample.log_weights, log_w)
+
+
+_ZERO_W = NcwParams(2.0, np.zeros((2, 2)))
+_SPEC = MeasureSpec(2.0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "bad, good",
+    [
+        (
+            lambda rng: ncw_sample(_ZERO_W, 2.5, rng),
+            lambda rng: ncw_sample(_ZERO_W, np.int64(3), rng),
+        ),
+        (
+            lambda rng: m_measure_sample(_SPEC, 2.5, rng),
+            lambda rng: m_measure_sample(_SPEC, np.int64(3), rng),
+        ),
+        (
+            lambda rng: singular_r_sample(2.0, 5, rng),
+            lambda rng: singular_r_sample(np.int64(3), np.int64(3), rng),
+        ),
+    ],
+    ids=["ncw_sample", "m_measure_sample", "singular_r_sample"],
+)
+def test_samplers_reject_non_integer_counts_with_value_error(bad, good, rng):
+    with pytest.raises(ValueError):
+        bad(rng)
+    assert len(good(rng)) == 3
 
 
 def test_weighted_estimator_variance_guard(rng):
