@@ -24,6 +24,7 @@ import operator
 from typing import Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.quantile loads np.ma on its first call; load it here instead
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
 from .symcore import _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
@@ -375,8 +376,7 @@ def subspace_intersection_experiment(
         raise ValueError("need 1 <= n < d")
     if not 1 <= k <= d - n:
         raise DomainError(f"k must satisfy 1 <= k <= d - n = {d - n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
     g = rng.standard_normal((trials, k, d))
     if degenerate_control:
         g[:, :, n:] = 0.0
@@ -413,8 +413,7 @@ def rank_additivity_experiment(
     d = a.shape[0]
     if b.shape[0] != d:
         raise ValueError("x0 and y0 dimensions differ")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
     u = haar_orthogonal_batch(d, trials, rng)
     rotated = np.einsum("bij,jk,blk->bil", u, b, u)
     sums = a[None, :, :] + 0.5 * (rotated + rotated.transpose(0, 2, 1))

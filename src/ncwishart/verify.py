@@ -23,10 +23,10 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import logsumexp
+import numpy.random  # noqa: F401  numpy loads np.random on first use; load it here, not in a check
 
 from .measures import (
+    _LOG_DOUBLE_MAX,
     DomainError,
     MeasureSpec,
     NcwParams,
@@ -37,7 +37,6 @@ from .measures import (
     laplace_m,
     laplace_ncw,
     lt_fd_series,
-    m111_density,
     m122_ac_density,
     m122_laplace_cone,
     m122_singular_density,
@@ -286,25 +285,6 @@ def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
 # d = 2 critical shape quadrature
 
 
-def m111_lt_quadrature(s: float) -> float:
-    """1-D quadrature of the m(1, 1, 1) density transform at s > 0."""
-    if s <= 0:
-        raise DomainError("need s > 0")
-    # substitute lam = t^2 so the inverse-sqrt edge of the density drops
-    # out; the integrand decays like exp(2t - s t^2), so cutting off at
-    # upper leaves a tail far below any tolerance while keeping cosh out
-    # of overflow territory
-    upper = 2.0 / s + 60.0 / math.sqrt(s)
-    val, _ = integrate.quad(
-        lambda t: 2.0 * t * m111_density(t * t) * math.exp(-s * t * t),
-        0.0,
-        upper,
-        epsabs=0.0,
-        epsrel=1e-12,
-    )
-    return val
-
-
 # The rule of m122_lt_quadrature: Gauss-Legendre panels in rho and in x,
 # with _QUAD_ORDER points each, and _QUAD_N_THETA trapezoid points in angle.
 _QUAD_N_RHO = 18
@@ -321,6 +301,46 @@ def _panel_rule(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray
     lo, hi = edges[:-1, None], edges[1:, None]
     half = 0.5 * (hi - lo)
     return (half * _LEGENDRE_X + 0.5 * (hi + lo)).ravel(), (half * _LEGENDRE_W).ravel()
+
+
+# The rule of m111_lt_quadrature: _M111_PANELS panels on t in
+# 1/s +- _M111_HALF_WIDTH / sqrt(s), clipped at 0.  In u = sqrt(s) t the
+# integrand is e^(1/s) (e^(-(u - a)^2) + e^(-(u + a)^2)) with a = 1/sqrt(s),
+# so every s gets the same picture: unit-width Gaussians on a window of at
+# most 2 * 6 = 12 widths, which drops erfc(6) / 2 = 1e-17 of the integral.
+# On a panel of width h (in u) the 8-point Gauss-Legendre error is at most
+# h^17 (8!)^4 / (17 (16!)^3) max |d^16/du^16 e^(-u^2)|, with the maximum
+# 16!/8! = 5.2e8 at u = 0.  Summed over both Gaussians and P panels of
+# h = 12 / P, and divided by the integral sqrt(pi) e^(1/s), this is
+# 4.8e-13 at P = 11, the fewest panels with a bound below 1e-12.
+_M111_HALF_WIDTH = 6.0
+_M111_PANELS = 11
+
+
+def m111_lt_quadrature(s: float) -> float:
+    """1-D quadrature of the m(1, 1, 1) density transform at s > 0.
+
+    With lam = t^2 the transform is the integral over t > 0 of
+    2 t m111_density(t^2) e^(-s t^2) = (e^(2t - s t^2) + e^(-2t - s t^2)) / sqrt(pi),
+    evaluated with each exponent combined, so no term leaves the double
+    range unless the transform s^(-1/2) e^(1/s) does.  A non-finite or
+    nonpositive s, or a transform beyond the double range (s below about
+    1.42e-3), raises DomainError.
+    """
+    if not 0.0 < s < math.inf:
+        raise DomainError("need finite s > 0")
+    log_transform = 1.0 / s - 0.5 * math.log(s)
+    if log_transform > _LOG_DOUBLE_MAX:
+        raise DomainError(f"the transform exceeds the double range: its log is {log_transform:.6g}")
+    half = _M111_HALF_WIDTH / math.sqrt(s)
+    t, w = _panel_rule(max(0.0, 1.0 / s - half), 1.0 / s + half, _M111_PANELS)
+    damp = -s * t * t
+    # with 1/sqrt(pi) in the weights no partial sum exceeds the transform
+    with np.errstate(over="ignore"):
+        val = float((w / math.sqrt(math.pi)) @ (np.exp(2.0 * t + damp) + np.exp(damp - 2.0 * t)))
+    if not math.isfinite(val):
+        raise DomainError("the transform exceeds the double range")
+    return val
 
 
 def m122_lt_quadrature(a: float, b: float, c: float) -> float:
@@ -532,6 +552,23 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
 # Rank support
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a 1-D array, shifted by its largest entry.
+
+    The m entries equal to the maximum M are taken out of the sum, which
+    becomes M + log(m) + log1p(s / m) with s the sum of exp(a - M) over
+    the rest, so a dominant entry loses no digits to the 1 in log(1 + x).
+    An all -inf input, where the shift is undefined, gives -inf.
+    """
+    top = np.max(a)
+    if top == -np.inf:
+        return -math.inf
+    at_top = a == top
+    n_top = np.count_nonzero(at_top)
+    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
+    return float(np.log1p(rest / n_top) + np.log(n_top) + top)
+
+
 def check_rank_support(config: RunConfig) -> list[CheckRecord]:
     """Support statements as direct rank counts at the shared tolerance."""
     trials = config.trials
@@ -608,7 +645,7 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         off = ranks < d - 1
         if np.any(off):
             log_w = sample.log_weights
-            off_mass = math.exp(logsumexp(log_w[off]) - logsumexp(log_w))
+            off_mass = math.exp(_logsumexp(log_w[off]) - _logsumexp(log_w))
             worst_off_mass = max(worst_off_mass, off_mass)
     records.append(
         CheckRecord(

@@ -704,6 +704,43 @@ def test_m122_ac_density_huge_argument_is_finite_or_domain_error(x, frac):
         assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0)
 
 
+def test_ive_three_halves_matches_scipy():
+    # the closed form the m122_ac_density overflow guard uses at z > 2
+    for z in np.geomspace(2.0, 1e6, 2001):
+        assert measures._ive_three_halves(z) == pytest.approx(special.ive(1.5, z), rel=1e-13, abs=0.0)
+
+
+def test_logsumexp_equals_scipy():
+    from ncwishart.verify import _logsumexp
+
+    gen = np.random.default_rng(7)
+    cases = [np.array([-np.inf, -np.inf]), np.array([-np.inf, 0.0]), np.array([3.0, 3.0, -np.inf, 1.0])]
+    for scale in (1e-3, 1.0, 30.0, 300.0):
+        a = scale * gen.standard_normal(1000) - 50.0
+        cases.append(a)
+        cases.append(np.where(gen.random(1000) < 0.3, -np.inf, a))
+    for a in cases:
+        # the same shift and the same numpy reductions, so the results agree bit for bit
+        assert _logsumexp(a) == special.logsumexp(a)
+
+
+def test_m111_lt_quadrature_matches_closed_form_over_wide_s():
+    from ncwishart.verify import m111_lt_quadrature
+
+    # the last two points lie just inside the edge of the double range, s = 1.4154e-3
+    for s in [*np.geomspace(1.5e-3, 1e3, 201), 1.4156e-3, 1.42e-3]:
+        closed = math.exp(1.0 / s) / math.sqrt(s)
+        assert m111_lt_quadrature(s) == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("s", [1e-3, 1e-300, 0.0, -1.0, math.inf, math.nan])
+def test_m111_lt_quadrature_raises_domain_error_past_double_range(s):
+    from ncwishart.verify import m111_lt_quadrature
+
+    with pytest.raises(DomainError):
+        m111_lt_quadrature(s)
+
+
 def test_m111_density_values():
     assert m111_density(1.0) == pytest.approx(math.cosh(2.0) / math.sqrt(math.pi), rel=1e-14)
     with pytest.raises(DomainError):

@@ -195,23 +195,37 @@ _SPEC = MeasureSpec(2.0, 1, 2)
     [
         (
             lambda rng: ncw_sample(_ZERO_W, 2.5, rng),
-            lambda rng: ncw_sample(_ZERO_W, np.int64(3), rng),
+            lambda rng: len(ncw_sample(_ZERO_W, np.int64(3), rng)) == 3,
         ),
         (
             lambda rng: m_measure_sample(_SPEC, 2.5, rng),
-            lambda rng: m_measure_sample(_SPEC, np.int64(3), rng),
+            lambda rng: len(m_measure_sample(_SPEC, np.int64(3), rng)) == 3,
         ),
         (
             lambda rng: singular_r_sample(2.0, 5, rng),
-            lambda rng: singular_r_sample(np.int64(3), np.int64(3), rng),
+            lambda rng: len(singular_r_sample(np.int64(3), np.int64(3), rng)) == 3,
+        ),
+        (
+            lambda rng: subspace_intersection_experiment(4, 2, 2, 2.5, rng),
+            lambda rng: subspace_intersection_experiment(4, 2, 2, np.int64(3), rng) == 0.0,
+        ),
+        (
+            lambda rng: rank_additivity_experiment(np.eye(2), np.eye(2), 2.5, rng),
+            lambda rng: rank_additivity_experiment(np.eye(2), np.eye(2), np.int64(3), rng).trials == 3,
         ),
     ],
-    ids=["ncw_sample", "m_measure_sample", "singular_r_sample"],
+    ids=[
+        "ncw_sample",
+        "m_measure_sample",
+        "singular_r_sample",
+        "subspace_intersection_experiment",
+        "rank_additivity_experiment",
+    ],
 )
 def test_samplers_reject_non_integer_counts_with_value_error(bad, good, rng):
     with pytest.raises(ValueError):
         bad(rng)
-    assert len(good(rng)) == 3
+    assert good(rng)
 
 
 def test_weighted_estimator_variance_guard(rng):
