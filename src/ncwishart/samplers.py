@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.quantile loads np.ma on its first call; load it here instead
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
-from .symcore import _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
+from .symcore import _count, _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
 from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
@@ -129,17 +128,6 @@ def _integer_shape(shape: float) -> int:
             f"Gaussian-sum sampling needs a positive integer shape, got {shape}"
         )
     return n
-
-
-def _count(value, name: str, least: int = 1) -> int:
-    """value as an int >= least; numpy integers pass, floats raise ValueError."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return count
 
 
 def _gaussian_sum_stack(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,17 @@ __all__ = [
 # Relative asymmetry above which an input is rejected instead of silently
 # symmetrized.
 _ASYM_REL_TOL = 1e-9
+
+
+def _count(value, name: str, least: int = 1) -> int:
+    """value as an int >= least; numpy integers pass, floats raise ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return count
 
 
 def sym_entries(m: "SymMatrix | np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:

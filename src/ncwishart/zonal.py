@@ -10,15 +10,13 @@ dominance order); the lower coefficients follow the pipe recurrence of the
 generating differential operator and n_kappa has a closed hook-product
 form.  Evaluation builds the float64 coefficient matrix of one weight
 layer directly, one column for all kappa at a time, and multiplies it by
-the monomials of the eigenvalues.  The exact coefficient tables of
-:func:`zonal_table` (rational up to ``FRACTION_MAX_WEIGHT``, floats from
-the same matrix beyond) are the reference and public API; no evaluation
-path builds them.  The module also computes the closed-form value at the
-identity, and provides the power-product
-Delta_kappa of leading principal minors together with its Haar-orthogonal
-average Phi_kappa estimated by Monte Carlo.  The multivariate gamma
-function and partitional Pochhammer symbol live here as well since every
-series built on C_kappa needs them.
+the monomials of the eigenvalues; this is the only coefficient builder.
+The module also computes the closed-form value at the identity, against
+which the verification suite checks that builder, and provides the
+power-product Delta_kappa of leading principal minors together with its
+Haar-orthogonal average Phi_kappa estimated by Monte Carlo.  The
+multivariate gamma function and partitional Pochhammer symbol live here as
+well since every series built on C_kappa needs them.
 """
 
 from __future__ import annotations
@@ -31,19 +29,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .symcore import SymMatrix, _haar_columns, sym_entries
+from .symcore import SymMatrix, _count, _haar_columns, sym_entries
 
 __all__ = [
-    "FRACTION_MAX_WEIGHT",
     "Partition",
     "partitions_of_weight",
-    "partitions_up_to",
-    "monomial_symmetric",
-    "zonal_table",
-    "zonal_monomial_coeffs",
     "zonal_layer",
     "zonal_C",
-    "zonal_C_at_identity",
     "c_kappa_identity",
     "multivariate_gamma",
     "pochhammer_kappa",
@@ -54,12 +46,6 @@ __all__ = [
     "LemmaCheck",
     "zonal_lemma_checks",
 ]
-
-# zonal_table uses Fraction arithmetic up to this partition weight and
-# float arithmetic beyond it.  The recurrence has positive terms only, so
-# the float coefficients are forward stable.
-FRACTION_MAX_WEIGHT = 20
-
 
 @dataclasses.dataclass(frozen=True, order=True)
 class Partition:
@@ -150,14 +136,6 @@ def partitions_of_weight(weight: int, max_length: int | None = None) -> list[Par
     return [Partition(p) for p in _gen_parts(weight, weight, slots)]
 
 
-def partitions_up_to(weight: int, max_length: int | None = None) -> list[Partition]:
-    """All partitions of weight 0..*weight*, weight-major, lex descending within weight."""
-    out: list[Partition] = []
-    for w in range(weight + 1):
-        out.extend(partitions_of_weight(w, max_length))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Coefficient tables: C_kappa = n_kappa * (m_kappa + sum_{lam < kappa} c_{kappa lam} m_lam)
 
@@ -187,41 +165,6 @@ def _transfers(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-def _phat_rows(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction]]:
-    """Exact eigenfunction coefficients with unit leading term, one row per kappa.
-
-    Row entries follow the pipe recurrence: for lam < kappa,
-
-        c_{kappa lam} = [sum over single-pair transfers lam -> mu of
-                         (l_i - l_j + 2t) * c_{kappa mu}] / (rho_kappa - rho_lam),
-
-    with the transfers of :func:`_transfers`.  Distinct transfers landing
-    on the same mu contribute once each.  The transfers depend on lam only,
-    so each list is built once and reused by every kappa.
-    """
-    parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
-    transfers = {lam: _transfers(lam) for lam in parts_list}
-    rows: dict[tuple, dict[tuple, Fraction]] = {}
-    for ki, kappa in enumerate(parts_list):
-        rho_k = _rho(kappa)
-        row: dict[tuple, Fraction] = {kappa: Fraction(1)}
-        for lam in parts_list[ki + 1 :]:
-            if not _dominated_by(lam, kappa):
-                continue
-            acc = Fraction(0)
-            for mu, coeff in transfers[lam]:
-                c = row.get(mu)
-                if c is not None:
-                    acc = acc + coeff * c
-            denom = rho_k - _rho(lam)
-            assert denom > 0, (kappa, lam)
-            val = acc / denom
-            if val:
-                row[lam] = val
-        rows[kappa] = row
-    return rows
-
-
 def _hook_norm(kappa: Sequence[int]) -> Fraction:
     """Leading coefficient n_kappa of C_kappa in the monomial basis.
 
@@ -244,11 +187,19 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
 
     Rows and columns both run over the partitions of *weight* with at most
     *max_length* parts in lex-descending order, a linear extension of
-    dominance, so the matrix is upper triangular.  The columns are filled
-    in that order by the pipe recurrence of :func:`_phat_rows`, one column
-    for all kappa at once: the rows that strictly dominate lam come from
-    one comparison of cumulative sums, and every mu a transfer reaches
-    precedes lam.  Each row is then scaled by :func:`_hook_norm`.
+    dominance, so the matrix is upper triangular.  With the leading term
+    scaled to one, the entries follow the pipe recurrence: for lam < kappa,
+
+        c_{kappa lam} = [sum over single-pair transfers lam -> mu of
+                         (l_i - l_j + 2t) * c_{kappa mu}] / (rho_kappa - rho_lam),
+
+    with the transfers of :func:`_transfers`; distinct transfers landing on
+    the same mu contribute once each.  The columns are filled in order, one
+    column for all kappa at once: the rows that strictly dominate lam come
+    from one comparison of cumulative sums, and every mu a transfer reaches
+    precedes lam.  Each row is then scaled by :func:`_hook_norm`.  The
+    recurrence has positive terms only, so the float entries are forward
+    stable.
     """
     parts = partitions_of_weight(weight, max_length)
     kappas = [p.parts for p in parts]
@@ -270,68 +221,6 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
     return kappas, coeff
 
 
-def _build_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction | float]]:
-    """Monomial coefficients of C_kappa for all kappa of this weight.
-
-    Exact up to ``FRACTION_MAX_WEIGHT``: the rows of :func:`_phat_rows`
-    times :func:`_hook_norm`.  Beyond it, the nonzero entries of
-    :func:`_coeff_matrix`.
-    """
-    if weight <= FRACTION_MAX_WEIGHT:
-        tab = {}
-        for kappa, row in _phat_rows(weight, max_length).items():
-            n = _hook_norm(kappa)
-            tab[kappa] = {lam: n * c for lam, c in row.items()}
-        return tab
-    kappas, coeff = _coeff_matrix(weight, max_length)
-    return {
-        kappa: {kappas[j]: float(row[j]) for j in np.flatnonzero(row)}
-        for kappa, row in zip(kappas, coeff)
-    }
-
-
-_TABLES: dict[tuple[int, int], dict[tuple, dict[tuple, Fraction | float]]] = {}
-
-
-def zonal_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction | float]]:
-    """Coefficient table {kappa: {lam: coeff}} with C_kappa = sum coeff * m_lam.
-
-    Both kappa and lam range over partitions of *weight* with at most
-    *max_length* parts.  Restricting the length is loss-free for evaluation
-    in dimension d = max_length because monomials longer than d vanish
-    there, and the coefficients themselves do not depend on the
-    restriction.  Tables are memoized in-process.  They are the reference
-    and public form of the coefficients; evaluation goes through
-    :func:`zonal_layer`, which never builds them.
-    """
-    if weight < 0:
-        raise ValueError("weight must be >= 0")
-    L = max(0, min(max_length, weight))
-    key = (weight, L)
-    tab = _TABLES.get(key)
-    if tab is not None:
-        return tab
-    for (w, lw), wide in list(_TABLES.items()):
-        if w == weight and lw > L:
-            tab = {
-                k: {lam: v for lam, v in row.items() if len(lam) <= L}
-                for k, row in wide.items()
-                if len(k) <= L
-            }
-            _TABLES[key] = tab
-            return tab
-    tab = _build_table(weight, L)
-    _TABLES[key] = tab
-    return tab
-
-
-def zonal_monomial_coeffs(kappa: Partition | Iterable[int]) -> dict[tuple[int, ...], Fraction | float]:
-    """Unrestricted monomial coefficients of C_kappa, as a fresh dict."""
-    kap = Partition.of(kappa)
-    tab = zonal_table(kap.weight, kap.weight)
-    return dict(tab[kap.parts])
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -340,45 +229,11 @@ def _eigenvalues_of(x) -> np.ndarray:
     if isinstance(x, SymMatrix):
         return np.linalg.eigvalsh(x.entries)
     a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        return a.reshape(1)
-    if a.ndim == 1:
-        return a
-    return np.linalg.eigvalsh(sym_entries(a))
-
-
-def monomial_symmetric(values: Sequence[float], lam: Partition | Iterable[int]) -> float:
-    """Monomial symmetric polynomial m_lam at the given coordinates.
-
-    Sum of prod(values[i]^a_i) over all distinct placements of the parts of
-    lam into the coordinate slots; zero when lam has more parts than there
-    are coordinates.
-    """
-    vals = np.asarray(values, dtype=float)
-    parts = Partition.of(lam).parts
-    d = vals.size
-    if not parts:
-        return 1.0
-    if len(parts) > d:
-        return 0.0
-    groups = [(p, len(list(g))) for p, g in itertools.groupby(parts)]
-    powers = {p: vals**p for p, _ in groups}
-
-    def rec(remaining: tuple[int, ...], gi: int) -> float:
-        if gi == len(groups):
-            return 1.0
-        part, count = groups[gi]
-        pw = powers[part]
-        total = 0.0
-        for chosen in itertools.combinations(remaining, count):
-            prod = 1.0
-            for i in chosen:
-                prod *= pw[i]
-            rest = tuple(i for i in remaining if i not in chosen)
-            total += prod * rec(rest, gi + 1)
-        return total
-
-    return rec(tuple(range(d)), 0)
+    if a.ndim >= 2:
+        return np.linalg.eigvalsh(sym_entries(a))
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    return a.reshape(-1)
 
 
 def _compositions(weight: int, d: int) -> np.ndarray:
@@ -479,34 +334,6 @@ def zonal_C(x, kappa: Partition | Iterable[int]) -> float:
     return zonal_layer(eigs, kap.weight)[kap.parts]
 
 
-def zonal_C_at_identity(kappa: Partition | Iterable[int], d: int) -> Fraction | float:
-    """C_kappa(I_d) summed from the coefficient table.
-
-    Exact for weights within the Fraction range.  Independent of
-    :func:`c_kappa_identity`, which evaluates the closed-form product; the
-    two must agree.
-    """
-    kap = Partition.of(kappa)
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if kap.length > d:
-        return Fraction(0) if kap.weight <= FRACTION_MAX_WEIGHT else 0.0
-    if kap.weight == 0:
-        return Fraction(1)
-    row = zonal_table(kap.weight, min(d, kap.weight))[kap.parts]
-    total: Fraction | float = Fraction(0) if kap.weight <= FRACTION_MAX_WEIGHT else 0.0
-    for lam, c in row.items():
-        l = len(lam)
-        if l > d:
-            continue
-        # m_lam(1,...,1) counts distinct placements of the parts in d slots.
-        count = math.factorial(d) // math.factorial(d - l)
-        for _, g in itertools.groupby(lam):
-            count //= math.factorial(len(tuple(g)))
-        total = total + c * count
-    return total
-
-
 def _rising(base, m: int):
     out = base * 0 + 1  # one in the arithmetic of *base*
     for t in range(m):
@@ -573,18 +400,34 @@ def multivariate_gamma(z, d: int, kappa: Partition | Iterable[int] | None = None
 
     with kappa padded by zeros.  Every gamma argument must be positive;
     arguments at or below zero raise ValueError since the cone integrals
-    this normalizes diverge there.
+    this normalizes diverge there.  A z that is not finite, and a value or
+    logarithm beyond the double range, raise ValueError as well.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     parts = Partition.of(kappa).padded(d) if kappa is not None else (0,) * d
     logval = d * (d - 1) / 4.0 * math.log(math.pi)
     for j in range(1, d + 1):
-        arg = float(z) + parts[j - 1] - (j - 1) / 2.0
+        arg = z + parts[j - 1] - (j - 1) / 2.0
         if arg <= 0.0:
             raise ValueError(f"gamma argument {arg} <= 0 at position {j} (z={z}, kappa={tuple(parts)})")
-        logval += math.lgamma(arg)
-    return logval if log else math.exp(logval)
+        try:
+            logval += math.lgamma(arg)
+        except OverflowError:
+            logval = math.inf
+    if not math.isfinite(logval):
+        raise ValueError(f"log Gamma_d leaves the double range at z={z}")
+    if log:
+        return logval
+    try:
+        return math.exp(logval)
+    except OverflowError:
+        raise ValueError(
+            f"Gamma_d exceeds the double range at z={z}: its log is {logval:.6g}; use log=True"
+        ) from None
 
 
 def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
@@ -592,7 +435,7 @@ def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
 
     Converges to exp(tr x); each weight layer sums honestly over its
     partitions rather than collapsing through the power-sum identity, so
-    the value exercises the coefficient tables.
+    the value exercises the coefficient matrices of :func:`zonal_layer`.
     """
     if weight_cutoff < 0:
         raise ValueError("weight_cutoff must be >= 0")
@@ -764,8 +607,7 @@ def phi_kappa_mc(
     batches of ``_MC_BATCH`` draws (:func:`_haar_conjugates`).  Returns the
     sample mean with its standard error.
     """
-    if n_samples < 2:
-        raise ValueError("n_samples must be >= 2")
+    n_samples = _count(n_samples, "n_samples", 2)
     a = sym_entries(x)
     d = a.shape[0]
     exps = _minor_exponents(kappa, d)
@@ -817,6 +659,7 @@ def zonal_lemma_checks(
     :func:`_delta_batch` at once.  No whole-sample (d, d, n) array is
     held.
     """
+    n_samples = _count(n_samples, "n_samples", 2)
     kap = Partition.of(kappa)
     a = sym_entries(x)
     d = a.shape[0]

@@ -40,7 +40,7 @@ def test_c02_zonal_sum_rule():
 
 
 def test_c03_zonal_identity_values():
-    run_criterion(3, "identity-spectrum values match the rational closed form",
+    run_criterion(3, "series layers at the identity match the closed form to 1e-14",
                   ["zonal-identity-values"], 30.0)
 
 

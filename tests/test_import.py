@@ -5,6 +5,12 @@ import sys
 from pathlib import Path
 
 import ncwishart
+import ncwishart.measures
+import ncwishart.report
+import ncwishart.samplers
+import ncwishart.symcore
+import ncwishart.verify
+import ncwishart.zonal
 
 # Run in a fresh interpreter: other test modules import scipy themselves.
 _PROBE = """
@@ -27,3 +33,11 @@ def test_import_loads_no_scipy_and_the_suite_imports_nothing_more():
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout.splitlines()[-1])
     assert modules == {"scipy": [], "new": []}
+
+
+def test_every_exported_name_resolves():
+    modules = [ncwishart, ncwishart.zonal, ncwishart.measures, ncwishart.samplers]
+    modules += [ncwishart.symcore, ncwishart.report, ncwishart.verify]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__

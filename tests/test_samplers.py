@@ -15,11 +15,13 @@ from ncwishart import (
     laplace_ncw,
     m_measure_sample,
     ncw_sample,
+    phi_kappa_mc,
     rank_additivity_experiment,
     singular_r_laplace,
     singular_r_sample,
     subspace_intersection_experiment,
     weighted_laplace_estimate,
+    zonal_lemma_checks,
 )
 from ncwishart.samplers import RANK_EVENT_TOL
 from ncwishart.symcore import haar_orthogonal_batch
@@ -213,6 +215,14 @@ _SPEC = MeasureSpec(2.0, 1, 2)
             lambda rng: rank_additivity_experiment(np.eye(2), np.eye(2), 2.5, rng),
             lambda rng: rank_additivity_experiment(np.eye(2), np.eye(2), np.int64(3), rng).trials == 3,
         ),
+        (
+            lambda rng: phi_kappa_mc(np.eye(2), (1,), 2.5, rng),
+            lambda rng: phi_kappa_mc(np.eye(2), (1,), np.int64(3), rng).n_samples == 3,
+        ),
+        (
+            lambda rng: zonal_lemma_checks(np.eye(2), (1,), 2.5, rng),
+            lambda rng: len(zonal_lemma_checks(np.eye(2), (1,), np.int64(3), rng)) == 3,
+        ),
     ],
     ids=[
         "ncw_sample",
@@ -220,6 +230,8 @@ _SPEC = MeasureSpec(2.0, 1, 2)
         "singular_r_sample",
         "subspace_intersection_experiment",
         "rank_additivity_experiment",
+        "phi_kappa_mc",
+        "zonal_lemma_checks",
     ],
 )
 def test_samplers_reject_non_integer_counts_with_value_error(bad, good, rng):

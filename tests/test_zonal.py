@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,18 +15,68 @@ from ncwishart import (
     delta_kappa,
     exp_trace_partial_sum,
     multivariate_gamma,
-    partitions_up_to,
     phi_kappa_mc,
     pochhammer_kappa,
     zonal_C,
-    zonal_C_at_identity,
     zonal_layer,
-    zonal_monomial_coeffs,
 )
 from ncwishart.measures import density_fd, density_m_fullrank
-from ncwishart.zonal import monomial_symmetric, partitions_of_weight, zonal_table
+from ncwishart.zonal import _dominated_by, _hook_norm, _rho, _transfers, partitions_of_weight
 
 F = Fraction
+
+
+def _phat_rows(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction]]:
+    """Exact eigenfunction coefficients with unit leading term, one row per kappa.
+
+    Row entries follow the pipe recurrence: for lam < kappa,
+
+        c_{kappa lam} = [sum over single-pair transfers lam -> mu of
+                         (l_i - l_j + 2t) * c_{kappa mu}] / (rho_kappa - rho_lam),
+
+    with the transfers of :func:`_transfers`.  Distinct transfers landing
+    on the same mu contribute once each.  The transfers depend on lam only,
+    so each list is built once and reused by every kappa.
+    """
+    parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
+    transfers = {lam: _transfers(lam) for lam in parts_list}
+    rows: dict[tuple, dict[tuple, Fraction]] = {}
+    for ki, kappa in enumerate(parts_list):
+        rho_k = _rho(kappa)
+        row: dict[tuple, Fraction] = {kappa: Fraction(1)}
+        for lam in parts_list[ki + 1 :]:
+            if not _dominated_by(lam, kappa):
+                continue
+            acc = Fraction(0)
+            for mu, coeff in transfers[lam]:
+                c = row.get(mu)
+                if c is not None:
+                    acc = acc + coeff * c
+            denom = rho_k - _rho(lam)
+            assert denom > 0, (kappa, lam)
+            val = acc / denom
+            if val:
+                row[lam] = val
+        rows[kappa] = row
+    return rows
+
+
+@functools.cache
+def _exact_table(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction]]:
+    """Exact monomial coefficients {kappa: {lam: c}}, C_kappa = sum c m_lam (shared; do not mutate)."""
+    return {
+        kappa: {lam: _hook_norm(kappa) * c for lam, c in row.items()}
+        for kappa, row in _phat_rows(weight, max_length).items()
+    }
+
+
+def _m_lam(values, lam):
+    """Monomial symmetric polynomial m_lam: prod values_i^a_i summed over distinct permutations a of lam."""
+    d = len(values)
+    if len(lam) > d:
+        return 0
+    perms = set(itertools.permutations(tuple(lam) + (0,) * (d - len(lam))))
+    return sum(math.prod(v**a for v, a in zip(values, perm)) for perm in perms)
 
 
 def test_partition_normalization_and_order():
@@ -51,54 +103,17 @@ def test_partitions_of_weight_enumeration():
     assert [p.parts for p in partitions_of_weight(0)] == [()]
 
 
-def test_partitions_up_to_is_weight_major():
-    seq = partitions_up_to(3)
-    weights = [p.weight for p in seq]
-    assert weights == sorted(weights)
-    assert len(seq) == 1 + 1 + 2 + 3
-
-
 def test_coefficient_table_weight_two_exact():
-    tab = zonal_table(2, 2)
+    tab = _exact_table(2, 2)
     assert tab[(2,)] == {(2,): F(1), (1, 1): F(2, 3)}
     assert tab[(1, 1)] == {(1, 1): F(4, 3)}
 
 
 def test_coefficient_table_weight_three_exact():
-    tab = zonal_table(3, 3)
+    tab = _exact_table(3, 3)
     assert tab[(3,)] == {(3,): F(1), (2, 1): F(3, 5), (1, 1, 1): F(2, 5)}
     assert tab[(2, 1)] == {(2, 1): F(12, 5), (1, 1, 1): F(18, 5)}
     assert tab[(1, 1, 1)] == {(1, 1, 1): F(2)}
-
-
-def _phat_rows_per_kappa(weight, max_length, exact):
-    """The pipe recurrence with the transfers rebuilt for every kappa."""
-    parts_list = [p.parts for p in partitions_of_weight(weight, max_length)]
-    one = Fraction(1) if exact else 1.0
-    rows = {}
-    for ki, kappa in enumerate(parts_list):
-        rho_k = zonal._rho(kappa)
-        row = {kappa: one}
-        for lam in parts_list[ki + 1 :]:
-            if not zonal._dominated_by(lam, kappa):
-                continue
-            acc = Fraction(0) if exact else 0.0
-            n = len(lam)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for t in range(1, lam[j] + 1):
-                        mu = list(lam)
-                        mu[i] += t
-                        mu[j] -= t
-                        c = row.get(tuple(sorted((m for m in mu if m > 0), reverse=True)))
-                        if c is not None:
-                            acc = acc + (lam[i] - lam[j] + 2 * t) * c
-            denom = rho_k - zonal._rho(lam)
-            val = acc / denom if exact else acc / float(denom)
-            if val:
-                row[lam] = val
-        rows[kappa] = row
-    return rows
 
 
 def _assert_rows_close(kappas, coeff, ref, rel):
@@ -113,44 +128,33 @@ def _assert_rows_close(kappas, coeff, ref, rel):
     assert np.all(np.abs(coeff - expected) <= rel * np.abs(expected))
 
 
-@pytest.mark.parametrize("weight,max_length,exact", [(12, 4, True), (22, 3, False), (21, 4, False)])
-def test_phat_rows_equal_per_kappa_transfer_loop(weight, max_length, exact):
-    ref = _phat_rows_per_kappa(weight, max_length, exact)
-    if exact:
-        rows = zonal._phat_rows(weight, max_length)
-        assert rows == ref
-        assert list(rows) == list(ref) and all(list(rows[k]) == list(ref[k]) for k in ref)
-        assert all(type(v) is Fraction for row in rows.values() for v in row.values())
-    else:
-        # the array sweep sums the transfers in another order: compare its
-        # rows with the leading coefficient divided back out
-        kappas, coeff = zonal._coeff_matrix(weight, max_length)
-        unit = coeff / np.array([float(zonal._hook_norm(k)) for k in kappas])[:, None]
-        _assert_rows_close(kappas, unit, ref, rel=1e-14)
-
-
 def test_coeff_matrix_matches_exact_tables():
-    for weight in range(zonal.FRACTION_MAX_WEIGHT + 1):
+    # the coefficients do not depend on the length restriction: the
+    # shorter tables are the length-5 table with the longer rows and
+    # columns dropped
+    for weight in range(21):
+        wide = _exact_table(weight, 5)
         for max_length in range(5, 0, -1):
+            ref = {
+                kappa: {lam: c for lam, c in row.items() if len(lam) <= max_length}
+                for kappa, row in wide.items()
+                if len(kappa) <= max_length
+            }
             kappas, coeff = zonal._coeff_matrix(weight, max_length)
-            _assert_rows_close(kappas, coeff, zonal_table(weight, max_length), rel=1e-14)
+            _assert_rows_close(kappas, coeff, ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("weight,max_length", [(22, 3), (24, 4), (22, 5)])
+@pytest.mark.parametrize("weight,max_length", [(22, 3), (21, 4), (24, 4), (22, 5)])
 def test_coeff_matrix_beyond_fraction_range_matches_exact_rows(weight, max_length):
-    rows = zonal._phat_rows(weight, max_length)
-    ref = {k: {lam: zonal._hook_norm(k) * c for lam, c in row.items()} for k, row in rows.items()}
+    """Past weight 20 the float matrix still matches the exact rows to 1e-14."""
     kappas, coeff = zonal._coeff_matrix(weight, max_length)
-    _assert_rows_close(kappas, coeff, ref, rel=1e-14)
-    tab = zonal_table(weight, max_length)
-    assert all(type(v) is float for row in tab.values() for v in row.values())
-    _assert_rows_close(kappas, coeff, tab, rel=0)
+    _assert_rows_close(kappas, coeff, _exact_table(weight, max_length), rel=1e-14)
 
 
 def test_hook_norm_equals_sum_rule_back_substitution():
     """n_kappa solves sum_{kappa >= lam} n_kappa c_{kappa lam} = weight!/prod(lam_i!)."""
     for weight in range(15):
-        rows = zonal._phat_rows(weight, weight)
+        rows = _exact_table(weight, weight)
         n_coeff = {}
         for lam in rows:
             acc = F(math.factorial(weight), math.prod(math.factorial(p) for p in lam))
@@ -159,24 +163,23 @@ def test_hook_norm_equals_sum_rule_back_substitution():
                     break
                 c = rows[kp].get(lam)
                 if c is not None:
-                    acc = acc - n_coeff[kp] * c
+                    # the unit-leading coefficient c_{kp lam}
+                    acc = acc - n_coeff[kp] * c / rows[kp][kp]
             n_coeff[lam] = acc
             assert zonal._hook_norm(lam) == acc, lam
 
 
 def test_series_evaluation_builds_no_tables(monkeypatch):
-    monkeypatch.setattr(zonal, "_TABLES", {})
     monkeypatch.setattr(zonal, "_LAYERS", {})
     assert density_m_fullrank(np.diag([0.3, 0.5, 0.7, 0.9, 1.1]), 6.5) > 0
     assert density_fd(np.diag([0.5, 1.0, 1.5, 2.0])) > 0
     assert zonal._LAYERS
-    assert zonal._TABLES == {}
 
 
 def test_monomial_coefficients_sum_rule_columns():
     """Within a weight, the coefficients of each monomial add to its multinomial."""
     for weight in range(1, 7):
-        tab = zonal_table(weight, weight)
+        tab = _exact_table(weight, weight)
         for lam in partitions_of_weight(weight):
             col = sum(row.get(lam.parts, F(0)) for row in tab.values())
             expected = F(math.factorial(weight)) / math.prod(
@@ -187,15 +190,9 @@ def test_monomial_coefficients_sum_rule_columns():
 
 def test_dominance_triangularity():
     for weight in range(1, 8):
-        for kappa, row in zonal_table(weight, weight).items():
+        for kappa, row in _exact_table(weight, weight).items():
             for lam in row:
                 assert Partition(kappa).dominates(lam)
-
-
-def test_zonal_monomial_coeffs_returns_copy():
-    a = zonal_monomial_coeffs((2,))
-    a[(2,)] = F(99)
-    assert zonal_monomial_coeffs((2,))[(2,)] == F(1)
 
 
 @given(
@@ -231,10 +228,14 @@ def test_zonal_c_homogeneity_and_matrix_agreement(rng):
 
 
 def _layer_reference(eigs, weight):
-    tab = zonal_table(weight, min(eigs.size, weight))
+    # every d <= 5 reads the length-5 table; rows longer than d drop out
+    # and so do the monomials, which vanish there
+    tab = _exact_table(weight, 5)
+    mono = {lam: _m_lam(eigs.tolist(), lam) for lam in tab}
     return {
-        kappa: sum(float(c) * monomial_symmetric(eigs, lam) for lam, c in row.items())
+        kappa: sum(float(c) * mono[lam] for lam, c in row.items())
         for kappa, row in tab.items()
+        if len(kappa) <= eigs.size
     }
 
 
@@ -261,8 +262,8 @@ def test_zonal_layer_edge_cases():
     assert zonal_layer([0.7], 5) == pytest.approx({(5,): 0.7**5}, rel=1e-15)
     assert (2, 1, 1, 1) not in zonal_layer(eigs, 5)
     assert zonal_C(eigs, (2, 1, 1, 1)) == 0.0
-    # float tables beyond the exact range
-    weight = zonal.FRACTION_MAX_WEIGHT + 2
+    # past weight 20
+    weight = 22
     eigs2 = np.array([0.4, 1.1])
     got = zonal_layer(eigs2, weight)
     for kappa, value in _layer_reference(eigs2, weight).items():
@@ -325,14 +326,17 @@ def test_identity_values_match_closed_form():
     }
     for (kap, d), expected in cases.items():
         assert c_kappa_identity(kap, d) == expected
-        assert zonal_C_at_identity(kap, d) == expected
-    # the two evaluations agree across a larger sweep
-    for weight in range(0, 7):
-        for kap in partitions_of_weight(weight):
-            for d in range(kap.length, 5):
-                if d == 0:
-                    continue
-                assert zonal_C_at_identity(kap, d) == c_kappa_identity(kap, d)
+        assert sum(c * _m_lam((1,) * d, lam) for lam, c in _exact_table(sum(kap), d)[kap].items()) == expected
+    # the exact tables summed at the identity agree with the closed form in
+    # rational arithmetic, |kappa| <= 8 and d <= 5
+    compared = 0
+    for d in range(1, 6):
+        for weight in range(9):
+            for kappa, row in _exact_table(weight, d).items():
+                total = sum(c * _m_lam((1,) * d, lam) for lam, c in row.items())
+                assert total == c_kappa_identity(kappa, d), (kappa, d)
+                compared += 1
+    assert compared == 188
 
 
 def test_minor_shift_identity(rng):
@@ -376,6 +380,36 @@ def test_multivariate_gamma_recurrence_and_shift():
     )
     with pytest.raises(ValueError):
         multivariate_gamma(0.5, 3)  # third gamma argument hits zero
+
+
+def test_multivariate_gamma_raises_value_error_out_of_range():
+    with pytest.raises(ValueError, match="log=True"):
+        multivariate_gamma(200.0, 3)
+    assert math.isfinite(multivariate_gamma(200.0, 3, log=True))
+    for z in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            multivariate_gamma(z, 3)
+        with pytest.raises(ValueError, match="finite"):
+            multivariate_gamma(z, 3, log=True)
+    # the log itself leaves the double range
+    with pytest.raises(ValueError, match="double range"):
+        multivariate_gamma(1e306, 2, log=True)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: zonal_layer(x, 3),
+        lambda x: zonal_C(x, (2, 1)),
+        lambda x: exp_trace_partial_sum(x, 3),
+    ],
+    ids=["zonal_layer", "zonal_C", "exp_trace_partial_sum"],
+)
+def test_eigenvalue_inputs_reject_non_finite_entries(call):
+    for x in ([math.nan, 1.0], [1.0, math.inf], math.nan, np.array(-math.inf), [[1.0, 0.0], [0.0, math.nan]]):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(x)
+    call([0.5, 1.0])  # finite input passes
 
 
 def test_delta_kappa_minors(rng):
@@ -546,10 +580,11 @@ def test_zonal_lemma_checks_structure(rng):
 
 
 def test_monomial_symmetric_small_cases():
-    vals = np.array([1.0, 2.0, 3.0])
-    assert monomial_symmetric(vals, (1,)) == pytest.approx(6.0)
-    assert monomial_symmetric(vals, (1, 1)) == pytest.approx(11.0)
+    vals = (1, 2, 3)
+    assert _m_lam(vals, (1,)) == 6
+    assert _m_lam(vals, (1, 1)) == 11
     # sum of x_i^2 x_j over ordered pairs i != j
-    assert monomial_symmetric(vals, (2, 1)) == pytest.approx(48.0)
-    assert monomial_symmetric(np.array([1.0]), (1, 1)) == 0.0
-    assert monomial_symmetric(vals, ()) == 1.0
+    assert _m_lam(vals, (2, 1)) == 48
+    assert _m_lam((1,), (1, 1)) == 0
+    assert _m_lam(vals, ()) == 1
+    assert _m_lam((1,) * 5, (2, 1, 1)) == 30
