@@ -5,7 +5,11 @@ that decided it, ``laplace`` evaluates the closed-form transforms (with an
 optional Monte Carlo cross-check), ``verify`` runs the named check suite,
 and ``sample`` writes draws as CSV.  Every run can emit a machine-readable
 report; exit status is 0 when all records pass, 1 when any fails, and 2
-for usage errors, including requests for measures that do not exist.
+when the request is refused.  Handlers raise ``ValueError`` for bad
+arguments and measures that do not exist (the package's ``DomainError``,
+``RankExceedsShapeError`` and ``MatrixFileError`` are subclasses), and
+``OSError`` for files they cannot read or write; :func:`main` is the one
+place that turns either into an ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import sys
 import numpy as np
 
 from .measures import (
-    DomainError,
     ExistenceVerdict,
     MeasureSpec,
     NcwParams,
@@ -27,7 +30,6 @@ from .measures import (
 )
 from .report import (
     CheckRecord,
-    MatrixFileError,
     Provenance,
     Report,
     format_float,
@@ -35,7 +37,6 @@ from .report import (
     write_samples_csv,
 )
 from .samplers import (
-    RankExceedsShapeError,
     empirical_laplace,
     m_measure_sample,
     ncw_sample,
@@ -45,10 +46,6 @@ from .samplers import (
 from .verify import SUITES, RunConfig, run_suite
 
 __all__ = ["main"]
-
-
-class UsageError(Exception):
-    """Bad arguments or a refused request; maps to exit status 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,13 +112,21 @@ def _add_report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _read_matrix(path: str) -> np.ndarray:
-    try:
-        return read_matrix_file(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-    except MatrixFileError as exc:
-        raise UsageError(str(exc)) from exc
+def _ncw_params(args: argparse.Namespace, d: int | None, source: str) -> NcwParams:
+    """NcwParams from --two-p, --w-file (zero when absent) and --sigma-file.
+
+    *d*, the dimension that *source* gives, must match the w file's.
+    """
+    w = read_matrix_file(args.w_file) if args.w_file else np.zeros((d, d))
+    if d is not None and d != w.shape[0]:
+        raise ValueError(f"{source} {d} contradicts the {w.shape[0]}-dimensional w file")
+    sigma = read_matrix_file(args.sigma_file) if args.sigma_file else None
+    return NcwParams(args.two_p, w, sigma)
+
+
+def _require(verdict: ExistenceVerdict) -> None:
+    if not verdict:
+        raise ValueError(f"refusing: {verdict.clause}")
 
 
 def _emit_report(report: Report, args: argparse.Namespace) -> None:
@@ -145,22 +150,11 @@ def _verdict_record(verdict: ExistenceVerdict) -> CheckRecord:
 
 def _cmd_exist(args: argparse.Namespace) -> int:
     if args.w_file:
-        w = _read_matrix(args.w_file)
-        sigma = _read_matrix(args.sigma_file) if args.sigma_file else None
-        if args.d is not None and args.d != w.shape[0]:
-            raise UsageError(f"--d {args.d} contradicts the {w.shape[0]}-dimensional w file")
-        try:
-            params = NcwParams(args.two_p, w, sigma)
-            verdict = exists_ncw(params)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
+        verdict = exists_ncw(_ncw_params(args, args.d, "--d"))
+    elif args.d is None:
+        raise ValueError("either --d or --w-file is required")
     else:
-        if args.d is None:
-            raise UsageError("either --d or --w-file is required")
-        try:
-            verdict = exists_m(args.two_p, args.k, args.d)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        verdict = exists_m(args.two_p, args.k, args.d)
     word = "exists" if verdict.exists else "does not exist"
     print(f"m(2p={args.two_p}, k={verdict.rank}, d={verdict.dim}) {word}: {verdict.clause}")
     report = Report(
@@ -173,65 +167,40 @@ def _cmd_exist(args: argparse.Namespace) -> int:
 
 
 def _cmd_laplace(args: argparse.Namespace) -> int:
-    s = _read_matrix(args.s_file)
+    s = read_matrix_file(args.s_file)
     d = s.shape[0]
     if args.d is not None and args.d != d:
-        raise UsageError(f"--d {args.d} contradicts the {d}-dimensional s file")
+        raise ValueError(f"--d {args.d} contradicts the {d}-dimensional s file")
     eigs = np.linalg.eigvalsh(s)
     if eigs[0] <= 0:
-        raise UsageError(f"s must be positive definite; smallest eigenvalue {eigs[0]:.3e}")
+        raise ValueError(f"s must be positive definite; smallest eigenvalue {eigs[0]:.3e}")
     if (args.k is None) == (args.w_file is None):
-        raise UsageError("give exactly one of --k (canonical measure) or --w-file (NCW)")
+        raise ValueError("give exactly one of --k (canonical measure) or --w-file (NCW)")
 
     report = Report(command=_echo_command(args), inputs={"two_p": args.two_p, "d": d})
     rng = np.random.default_rng(args.seed)
     n_draws = 10 * args.trials
 
     if args.k is not None:
-        verdict = exists_m(args.two_p, args.k, d)
-        if not verdict:
-            raise UsageError(f"refusing: {verdict.clause}")
+        _require(exists_m(args.two_p, args.k, d))
         spec = MeasureSpec(args.two_p, args.k, d)
-        try:
-            value = laplace_m(s, spec)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
+        value = laplace_m(s, spec)
         report.inputs["k"] = args.k
         name = "laplace-m"
-        if args.mc_check:
-            try:
-                sample = m_measure_sample(spec, n_draws, rng)
-                est = weighted_laplace_estimate(sample, s)
-            except (DomainError, RankExceedsShapeError) as exc:
-                raise UsageError(f"cross-check unavailable: {exc}") from exc
-            _add_mc_record(report, value, est.estimate, est.std_error, n_draws)
-    else:
-        w = _read_matrix(args.w_file)
-        if w.shape[0] != d:
-            raise UsageError(f"w is {w.shape[0]}-dimensional but s is {d}-dimensional")
-        sigma = _read_matrix(args.sigma_file) if args.sigma_file else None
-        try:
-            params = NcwParams(args.two_p, w, sigma)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
-        verdict = exists_ncw(params)
-        if not verdict:
-            raise UsageError(f"refusing: {verdict.clause}")
-        try:
-            value = laplace_ncw(s, params)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
-        name = "laplace-ncw"
-        if args.mc_check:
-            try:
-                draws = ncw_sample(params, n_draws, rng)
-            except (DomainError, RankExceedsShapeError) as exc:
-                raise UsageError(f"cross-check unavailable: {exc}") from exc
-            est = empirical_laplace(draws, s)
-            _add_mc_record(report, value, est.estimate, est.std_error, n_draws)
 
-    report.results.insert(
-        0,
+        def estimate():
+            return weighted_laplace_estimate(m_measure_sample(spec, n_draws, rng), s)
+
+    else:
+        params = _ncw_params(args, d, "the s file's dimension")
+        _require(exists_ncw(params))
+        value = laplace_ncw(s, params)
+        name = "laplace-ncw"
+
+        def estimate():
+            return empirical_laplace(ncw_sample(params, n_draws, rng), s)
+
+    report.add(
         CheckRecord(
             name=name,
             value=value,
@@ -240,8 +209,14 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             passed=True,
             provenance=Provenance.CLOSED_FORM,
             detail=f"closed form at the supplied s, shape {args.two_p}",
-        ),
+        )
     )
+    if args.mc_check:
+        try:
+            est = estimate()
+        except ValueError as exc:
+            raise ValueError(f"cross-check unavailable: {exc}") from exc
+        _add_mc_record(report, value, est.estimate, est.std_error, n_draws)
     print(format_float(value))
     for rec in report.results[1:]:
         status = "pass" if rec.passed else "FAIL"
@@ -268,15 +243,7 @@ def _add_mc_record(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = RunConfig(
-            seed=args.seed,
-            trials=args.trials,
-            tol=args.tol,
-            threads=args.threads,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = RunConfig(seed=args.seed, trials=args.trials, tol=args.tol, threads=args.threads)
     report = run_suite(args.suite, config)
     for rec in report.results:
         status = "pass" if rec.passed else "FAIL"
@@ -295,48 +262,26 @@ def _show(v) -> str:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.n_draws < 1:
-        raise UsageError("--n-draws must be >= 1")
     rng = np.random.default_rng(args.seed)
     log_weights = None
 
     if args.target == "singular-r":
         if args.d is None:
-            raise UsageError("--d is required for target singular-r")
-        try:
-            sample = singular_r_sample(args.d, args.n_draws, rng)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("--d is required for target singular-r")
+        sample = singular_r_sample(args.d, args.n_draws, rng)
         draws, log_weights = sample.draws, sample.log_weights
     elif args.target == "m":
         if args.d is None or args.two_p is None or args.k is None:
-            raise UsageError("target m needs --d, --two-p (or --n), and --k")
-        verdict = exists_m(args.two_p, args.k, args.d)
-        if not verdict:
-            raise UsageError(f"refusing: {verdict.clause}")
-        try:
-            sample = m_measure_sample(MeasureSpec(args.two_p, args.k, args.d), args.n_draws, rng)
-        except (DomainError, RankExceedsShapeError, ValueError) as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("target m needs --d, --two-p (or --n), and --k")
+        _require(exists_m(args.two_p, args.k, args.d))
+        sample = m_measure_sample(MeasureSpec(args.two_p, args.k, args.d), args.n_draws, rng)
         draws, log_weights = sample.draws, sample.log_weights
     else:
         if args.d is None or args.two_p is None:
-            raise UsageError("target ncw needs --d and --n (or --two-p)")
-        w = _read_matrix(args.w_file) if args.w_file else np.zeros((args.d, args.d))
-        if w.shape[0] != args.d:
-            raise UsageError(f"w is {w.shape[0]}-dimensional but --d is {args.d}")
-        sigma = _read_matrix(args.sigma_file) if args.sigma_file else None
-        try:
-            params = NcwParams(args.two_p, w, sigma)
-        except (ValueError, DomainError) as exc:
-            raise UsageError(str(exc)) from exc
-        verdict = exists_ncw(params)
-        if not verdict:
-            raise UsageError(f"refusing: {verdict.clause}")
-        try:
-            draws = ncw_sample(params, args.n_draws, rng)
-        except (DomainError, RankExceedsShapeError) as exc:
-            raise UsageError(str(exc)) from exc
+            raise ValueError("target ncw needs --d and --n (or --two-p)")
+        params = _ncw_params(args, args.d, "--d")
+        _require(exists_ncw(params))
+        draws = ncw_sample(params, args.n_draws, rng)
 
     if args.output:
         write_samples_csv(args.output, draws, log_weights)
@@ -374,11 +319,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

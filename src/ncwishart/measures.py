@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
-from .zonal import _layer_values
+from .zonal import _layer_values, _over_factorial
 
 __all__ = [
     "DomainError",
@@ -298,11 +298,14 @@ def exists_ncw(params: NcwParams, tol: float | None = None) -> ExistenceVerdict:
 # Laplace transforms
 
 
-def _exp_in_range(log_value: float) -> float:
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise DomainError(f"the transform exceeds the double range: its log is {log_value:.6g}") from None
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+
+
+def _exp_in_range(log_value: float, what: str) -> float:
+    """exp(log_value); DomainError naming *what* when it leaves the double range."""
+    if log_value > _LOG_DOUBLE_MAX:
+        raise DomainError(f"the {what} exceeds the double range: its log is {log_value:.6g}")
+    return math.exp(log_value)
 
 
 def laplace_ncw(s, params: NcwParams) -> float:
@@ -326,7 +329,7 @@ def laplace_ncw(s, params: NcwParams) -> float:
     a = np.eye(d) + 2.0 * params.sigma @ s
     x = np.linalg.solve(a, params.w)
     trace_term = 2.0 * float(np.trace(s @ x))
-    return _exp_in_range(-(params.shape / 2.0) * logdet - trace_term)
+    return _exp_in_range(-(params.shape / 2.0) * logdet - trace_term, "transform")
 
 
 def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
@@ -346,7 +349,7 @@ def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     logdet = float(np.sum(np.log(eigs)))
     inv = np.linalg.inv(s)
     trace_term = float(np.trace(inv[d - spec.rank :, d - spec.rank :])) if spec.rank else 0.0
-    return _exp_in_range(-(spec.shape / 2.0) * logdet + trace_term)
+    return _exp_in_range(-(spec.shape / 2.0) * logdet + trace_term, "transform")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -423,10 +426,6 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
-# Largest w whose factorial converts to a float (171! > 1.8e308).
-_FACTORIAL_FLOAT_MAX = 170
-
-
 def _zonal_series(
     eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray], policy: TruncationPolicy
 ) -> float:
@@ -434,22 +433,14 @@ def _zonal_series(
 
     *weights* maps the padded parts of one weight layer (kappa x d, in
     table order) to one weight per kappa; each layer is the dot product of
-    those weights with the layer's C_kappa values.  Up to weight
-    ``_FACTORIAL_FLOAT_MAX`` the dot product is divided by w! as a float;
-    past it w! leaves double range, and the division is made in log scale
-    with lgamma(w + 1), keeping the sign.  A layer that is not finite
-    raises :class:`DomainError`.
+    those weights with the layer's C_kappa values, divided by w! through
+    :func:`~ncwishart.zonal._over_factorial` (log scale past w = 170).  A
+    layer that is not finite raises :class:`DomainError`.
     """
 
     def layer(w: int) -> float:
         parts, values = _layer_values(eigs, w)
-        dot = float(values @ weights(parts))
-        if w <= _FACTORIAL_FLOAT_MAX:
-            value = dot / math.factorial(w)
-        elif dot != 0.0 and math.isfinite(dot):
-            value = math.copysign(math.exp(math.log(abs(dot)) - math.lgamma(w + 1)), dot)
-        else:
-            value = dot
+        value = _over_factorial(float(values @ weights(parts)), w)
         if not math.isfinite(value):
             raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
         return value
@@ -600,14 +591,6 @@ def m122_laplace_cone(a: float, b: float, c: float) -> float:
 # t = 710.5, while the density can still be finite.
 _COSH_ARG_MAX = 700.0
 
-_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
-
-
-def _exp_within_range(log_value: float) -> float:
-    if log_value > _LOG_DOUBLE_MAX:
-        raise DomainError(f"the density exceeds the double range: its log is {log_value:.6g}")
-    return math.exp(log_value)
-
 
 def m122_singular_density(y: float, z: float) -> float:
     """Density of the singular part of m(1, 2, 2) on its boundary sheet.
@@ -628,7 +611,8 @@ def m122_singular_density(y: float, z: float) -> float:
     if root <= _COSH_ARG_MAX:
         return (2.0 / (math.pi * u)) * math.cosh(root)
     # e^root / (pi u), with 2 rho kept out of the logs so that it cannot overflow
-    return _exp_within_range(2.0 * math.sqrt(2.0) * math.sqrt(rho) - math.log(2.0 * math.pi) - math.log(rho))
+    log_density = 2.0 * math.sqrt(2.0) * math.sqrt(rho) - math.log(2.0 * math.pi) - math.log(rho)
+    return _exp_in_range(log_density, "density")
 
 
 # Points per slice of m122_ac_density: the slice's (n_m, slice) power
@@ -755,7 +739,7 @@ def m111_density(lam: float) -> float:
     if root <= _COSH_ARG_MAX:
         return math.cosh(root) / math.sqrt(math.pi * lam)
     # e^root / (2 sqrt(pi lam)), with pi lam kept out of the logs so that it cannot overflow
-    return _exp_within_range(root - math.log(2.0) - 0.5 * (math.log(math.pi) + math.log(lam)))
+    return _exp_in_range(root - math.log(2.0) - 0.5 * (math.log(math.pi) + math.log(lam)), "density")
 
 
 # ---------------------------------------------------------------------------

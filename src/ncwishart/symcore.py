@@ -52,8 +52,8 @@ def _count(value, name: str, least: int = 1) -> int:
 def sym_entries(m: "SymMatrix | np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:
     """Return a d x d exactly-symmetric float array for *m*.
 
-    Accepts a :class:`SymMatrix` or anything array-like. Finite entries and
-    near-symmetry are required; the result is (a + a.T)/2, which is exactly
+    Accepts a :class:`SymMatrix` or anything array-like. At least one row,
+    finite entries and near-symmetry are required; the result is (a + a.T)/2, which is exactly
     symmetric in floating point.
     """
     if isinstance(m, SymMatrix):
@@ -61,6 +61,8 @@ def sym_entries(m: "SymMatrix | np.ndarray | Sequence", name: str = "matrix") ->
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError(f"{name} must be at least 1 x 1")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -102,8 +104,6 @@ class SymMatrix:
 
     def __init__(self, entries: np.ndarray | Sequence) -> None:
         a = sym_entries(entries)
-        if a.shape[0] < 1:
-            raise ValueError("dimension must be >= 1")
         a.setflags(write=False)
         object.__setattr__(self, "_entries", a)
 

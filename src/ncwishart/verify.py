@@ -44,6 +44,7 @@ from .measures import (
 )
 from .report import CheckRecord, Provenance, Report
 from .samplers import (
+    RANK_EVENT_TOL,
     convolution_support_experiment,
     empirical_laplace,
     m_measure_sample,
@@ -86,7 +87,6 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 10_000
-    trunc: TruncationPolicy = TruncationPolicy()
     tol: float = 1e-8
     threads: int | None = None
 
@@ -635,7 +635,7 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
     for d in (2, 3, 4):
         sample = singular_r_sample(d, trials, _rng(config, 9, 10 + d))
         eigs = np.linalg.eigvalsh(sample.draws)
-        thresh = 1e-8 * np.maximum(1.0, eigs[:, -1])[:, None]
+        thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
         ranks = np.count_nonzero(eigs > thresh, axis=1)
         full_rank_events += int(np.sum(ranks == d))
         off = ranks < d - 1
@@ -723,18 +723,7 @@ SUITES: dict[str, tuple[str, ...]] = {
     "fd": ("fd-split",),
     "support": ("existence-table", "sampler-lt", "rank-support"),
 }
-SUITES["all"] = (
-    "existence-table",
-    "zonal-sum-rule",
-    "zonal-identity-values",
-    "zonal-lemma-mc",
-    "d2-roundtrip",
-    "m111-lt",
-    "fd-split",
-    "sampler-lt",
-    "rank-support",
-    "faa-di-bruno",
-)
+SUITES["all"] = tuple(CHECKS)
 
 
 def run_suite(suite: str, config: RunConfig | None = None) -> Report:
@@ -749,7 +738,6 @@ def run_suite(suite: str, config: RunConfig | None = None) -> Report:
             "seed": config.seed,
             "trials": config.trials,
             "tol": config.tol,
-            "max_weight": config.trunc.max_weight,
         },
     )
     start = time.perf_counter()

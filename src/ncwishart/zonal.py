@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -51,6 +52,9 @@ __all__ = [
 class Partition:
     """Integer partition: a nonincreasing tuple of positive parts.
 
+    Parts go through ``operator.index``: ints and numpy integers pass, and a
+    float, string or other non-integer part raises ValueError.
+
     Ordering is lexicographic on the parts tuple, which within a fixed
     weight is a linear extension of the dominance order.
     """
@@ -58,7 +62,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple(int(p) for p in self.parts)
+        try:
+            parts = tuple(operator.index(p) for p in self.parts)
+        except TypeError:
+            raise ValueError(f"parts must be integers, got {self.parts!r}") from None
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         if any(p <= 0 for p in parts):
@@ -430,6 +437,25 @@ def multivariate_gamma(z, d: int, kappa: Partition | Iterable[int] | None = None
         ) from None
 
 
+# Largest w whose factorial converts to a float (171! > 1.8e308).
+_FACTORIAL_FLOAT_MAX = 170
+
+
+def _over_factorial(total: float, w: int) -> float:
+    """total / w!, the scaling of one weight layer of a series.
+
+    Up to ``_FACTORIAL_FLOAT_MAX`` the division is by w! as a float; past
+    it w! leaves double range, and the division is made in log scale with
+    lgamma(w + 1), keeping the sign.  A zero or non-finite total passes
+    through unchanged.
+    """
+    if w <= _FACTORIAL_FLOAT_MAX:
+        return total / math.factorial(w)
+    if total != 0.0 and math.isfinite(total):
+        return math.copysign(math.exp(math.log(abs(total)) - math.lgamma(w + 1)), total)
+    return total
+
+
 def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     """Partial sum through *weight_cutoff* of sum_kappa C_kappa(x)/|kappa|!.
 
@@ -440,7 +466,7 @@ def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     if weight_cutoff < 0:
         raise ValueError("weight_cutoff must be >= 0")
     eigs = _eigenvalues_of(x)
-    return sum(sum(zonal_layer(eigs, w).values()) / math.factorial(w) for w in range(weight_cutoff + 1))
+    return sum(_over_factorial(sum(zonal_layer(eigs, w).values()), w) for w in range(weight_cutoff + 1))
 
 
 # ---------------------------------------------------------------------------

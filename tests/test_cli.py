@@ -263,6 +263,41 @@ def test_sample_ncw_w_dimension_mismatch(tmp_path, capsys):
 # top level
 
 
+# Each request is refused by the package with a ValueError or an OSError;
+# {s} and {w} are 2x2 matrix files, {missing} a directory that is not there.
+REFUSED = [
+    (["laplace", "--s-file", "{s}", "--two-p", "1", "--k", "5"], "rank must be in 0..2"),
+    (["sample", "--target", "m", "--d", "2", "--two-p", "2", "--k", "5"], "rank must be in 0..2"),
+    (["sample", "--target", "m", "--d", "0", "--two-p", "2", "--k", "0"], "dim must be >= 1"),
+    (["laplace", "--s-file", "{s}", "--two-p", "2", "--k", "1", "--mc-check", "--trials", "0"],
+     "n_draws must be >= 1"),
+    (["laplace", "--s-file", "{s}", "--two-p", "2", "--w-file", "{w}", "--mc-check", "--trials", "0"],
+     "n_draws must be >= 1"),
+    (["exist", "--d", "2", "--two-p", "1", "--output", "{missing}/report.json"], "No such file"),
+    (["sample", "--target", "ncw", "--d", "2", "--n", "3", "--n-draws", "5",
+      "--output", "{missing}/draws.csv"], "No such file"),
+    (["sample", "--target", "ncw", "--d", "0", "--n", "3"], "w must be at least 1 x 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    REFUSED,
+    ids=["laplace-rank", "sample-m-rank", "sample-m-d0", "laplace-m-trials0",
+         "laplace-ncw-trials0", "exist-output-dir", "sample-output-dir", "sample-ncw-d0"],
+)
+def test_refused_request_exits_two_with_one_error_line(tmp_path, capsys, argv, message):
+    paths = {
+        "s": write_mat(tmp_path, "s.txt", np.eye(2)),
+        "w": write_mat(tmp_path, "w.txt", 0.25 * np.eye(2)),
+        "missing": str(tmp_path / "missing"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["laplace", "--help"]) == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncwishart import (
     ConePoint2,
     ConeTag,
+    NcwParams,
     SymMatrix,
     cone_classify,
     coords_to_matrix,
@@ -39,6 +40,13 @@ def test_symmatrix_rejects_bad_input():
         SymMatrix([[1.0, 2.0], [0.0, 1.0]])  # asymmetric beyond tolerance
     with pytest.raises(ValueError):
         SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+
+
+def test_empty_matrix_raises_its_own_value_error():
+    with pytest.raises(ValueError, match="matrix must be at least 1 x 1"):
+        SymMatrix(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="w must be at least 1 x 1"):
+        NcwParams(1.0, np.zeros((0, 0)))
 
 
 def test_cone_classify_three_ways():

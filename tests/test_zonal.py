@@ -91,6 +91,25 @@ def test_partition_normalization_and_order():
     assert not Partition((2, 1, 1)).dominates((2, 2))
 
 
+
+@pytest.mark.parametrize("parts", [(2.5,), (2.0,), ("2",), (math.inf,), (3, 1.5)])
+def test_partition_rejects_non_integer_parts(parts):
+    with pytest.raises(ValueError, match="integers"):
+        Partition(parts)
+
+
+def test_partition_accepts_numpy_integers_and_rejects_through_callers():
+    p = Partition((np.int64(2), np.int32(1), np.uint8(0)))
+    assert p.parts == (2, 1) and all(type(x) is int for x in p.parts)
+    with pytest.raises(ValueError):
+        zonal_C([1.0, 2.0], (2.5,))
+    with pytest.raises(ValueError):
+        c_kappa_identity((2.9,), 2)
+    with pytest.raises(ValueError):
+        pochhammer_kappa(1.5, (1.5,))
+    with pytest.raises(ValueError):
+        multivariate_gamma(2.0, 2, (1.0,))
+
 def test_partitions_of_weight_enumeration():
     # p(6) = 11, lexicographically descending
     parts6 = partitions_of_weight(6)
@@ -577,6 +596,21 @@ def test_exp_trace_partial_sum_converges_honestly():
     assert err16 < 1e-10
     assert err16 < err12
 
+
+
+@pytest.mark.parametrize("cutoff", [171, 200])
+def test_exp_trace_partial_sum_past_factorial_range(cutoff):
+    assert exp_trace_partial_sum(np.eye(1), cutoff) == pytest.approx(math.e, rel=1e-15)
+
+
+def test_over_factorial_is_float_division_up_to_170():
+    for w in (0, 1, 20, 169, 170):
+        for total in (1.0, -3.25e7, 1e300):
+            assert zonal._over_factorial(total, w) == total / math.factorial(w)
+    assert zonal._over_factorial(-2.0, 171) == pytest.approx(
+        -2.0 * math.exp(-math.lgamma(172)), rel=1e-13
+    )
+    assert zonal._over_factorial(0.0, 200) == 0.0
 
 def test_zonal_lemma_checks_structure(rng):
     x = np.diag([1.0, 2.0, 0.5])
