@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(SUITES), default="all")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=10_000)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument(
         "--threads", type=int, default=None, help="worker cap (default: available cores)"
     )
@@ -243,7 +242,7 @@ def _add_mc_record(
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = RunConfig(seed=args.seed, trials=args.trials, tol=args.tol, threads=args.threads)
+    config = RunConfig(seed=args.seed, trials=args.trials, threads=args.threads)
     report = run_suite(args.suite, config)
     for rec in report.results:
         status = "pass" if rec.passed else "FAIL"

@@ -175,7 +175,11 @@ def exists_m(shape: float, rank: int, dim: int) -> ExistenceVerdict:
         raise ValueError("dim must be >= 1")
     if not (0 <= rank <= dim):
         raise ValueError(f"rank must be in 0..{dim}, got {rank}")
-    if not math.isfinite(shape) or shape <= 0:
+    if not math.isfinite(shape):
+        return ExistenceVerdict(
+            False, VerdictReason.SHAPE_NOT_IN_LAMBDA, f"shape {shape} is not finite", shape, rank, dim
+        )
+    if shape <= 0:
         return ExistenceVerdict(
             False, VerdictReason.SHAPE_NOT_IN_LAMBDA, f"shape {shape} is not positive", shape, rank, dim
         )
@@ -244,9 +248,6 @@ class MeasureSpec:
         """I(k, d): zeros then k trailing ones on the diagonal."""
         return np.diag(np.concatenate([np.zeros(self.dim - self.rank), np.ones(self.rank)]))
 
-    def existence(self) -> ExistenceVerdict:
-        return exists_m(self.shape, self.rank, self.dim)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class NcwParams:
@@ -285,13 +286,10 @@ class NcwParams:
     def mean(self) -> np.ndarray:
         return self.shape * self.sigma + 2.0 * self.w
 
-    def existence(self, tol: float | None = None) -> ExistenceVerdict:
-        return exists_ncw(self, tol)
 
-
-def exists_ncw(params: NcwParams, tol: float | None = None) -> ExistenceVerdict:
+def exists_ncw(params: NcwParams) -> ExistenceVerdict:
     """Existence test for NCW(n, w, sigma): rank of w plays the rank index."""
-    return exists_m(params.shape, rank_psd(params.w, tol), params.dim)
+    return exists_m(params.shape, rank_psd(params.w), params.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +509,8 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     log_gammas = _log_multivariate_gammas(p, d)
     series = _zonal_series(eigs, lambda parts: np.exp(-log_gammas(parts)), policy)
     log_det = float(np.sum(np.log(eigs)))
-    return 2.0 ** (-d * (d - 1) / 4.0) * math.exp((p - (d + 1) / 2.0) * log_det) * series
+    det_factor = _exp_in_range((p - (d + 1) / 2.0) * log_det, "density's determinant factor")
+    return 2.0 ** (-d * (d - 1) / 4.0) * det_factor * series
 
 
 def density_fd(t, policy: TruncationPolicy | None = None) -> float:
@@ -536,7 +535,7 @@ def _split_series_at_inverse(s, dim: int) -> tuple[np.ndarray, float]:
         raise ValueError(f"s must be {dim}x{dim}")
     inv_eigs = 1.0 / spec_eigs[::-1]
     log_det = float(np.sum(np.log(spec_eigs)))
-    prefactor = math.exp(-(dim - 1) / 2.0 * log_det)
+    prefactor = _exp_in_range(-(dim - 1) / 2.0 * log_det, "transform's determinant factor")
     return inv_eigs, prefactor
 
 
@@ -583,7 +582,7 @@ def m122_laplace_cone(a: float, b: float, c: float) -> float:
     quad = a * a - b * b - c * c
     if a <= 0 or quad <= 0:
         raise DomainError("need a > sqrt(b^2 + c^2) for a positive definite s")
-    return quad**-0.5 * math.exp(2.0 * a / quad)
+    return quad**-0.5 * _exp_in_range(2.0 * a / quad, "transform's exponential factor")
 
 
 # Past this argument cosh(t) is e^t / 2 to roundoff (e^(-2t) < 1e-600), so

@@ -23,7 +23,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.quantile loads np.ma on its first call; load it here instead
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
 from .symcore import _count, _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
@@ -91,7 +90,7 @@ class MeanDecomposition:
         return self.means.T @ self.means
 
 
-def decompose_w(w, n: int, tol: float | None = None) -> MeanDecomposition:
+def decompose_w(w, n: int) -> MeanDecomposition:
     """Split a positive semidefinite matrix into n rank-one mean terms.
 
     Eigendecomposition-based: the eigenpairs above the rank tolerance give
@@ -108,8 +107,7 @@ def decompose_w(w, n: int, tol: float | None = None) -> MeanDecomposition:
         raise ValueError("n must be a positive integer")
     n = int(n)
     vals, vecs = np.linalg.eigh(a)
-    if tol is None:
-        tol = default_rank_tol(vals, d)
+    tol = default_rank_tol(vals, d)
     if vals[0] < -tol:
         raise DomainError("w must be positive semidefinite")
     keep = vals > tol
@@ -332,14 +330,45 @@ class RankHistogram:
         return sum(c for r, c in self.counts.items() if r != rank)
 
 
+def _event_ranks(eigs: np.ndarray) -> np.ndarray:
+    """Rank of each draw from its ascending eigenvalues, stacked (N, d).
+
+    An eigenvalue counts when it exceeds RANK_EVENT_TOL * max(1, lambda_max).
+    """
+    thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
+    return np.count_nonzero(eigs > thresh, axis=1)
+
+
+_QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _order_statistics(eigs: np.ndarray) -> np.ndarray:
+    """The _QUANTILES of each column of eigs, bit for bit np.quantile's linear method.
+
+    One sort along the trial axis, then numpy's interpolation rule between
+    the neighbouring order statistics a and b at fraction t:
+    a + (b - a) t, or b - (b - a)(1 - t) where t >= 0.5.  Only the sign
+    of a zero tied with another zero can differ, since a sort and
+    np.quantile's partition may order the two differently.  np.quantile
+    itself would import numpy.ma.
+    """
+    ordered = np.sort(eigs, axis=0)
+    last = ordered.shape[0] - 1
+    rows = []
+    for q in _QUANTILES:
+        pos = last * q
+        lo = math.floor(pos)
+        t = pos - lo
+        a, b = ordered[lo], ordered[min(lo + 1, last)]
+        rows.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+    return np.array(rows)
+
+
 def _rank_histogram(draws: np.ndarray) -> RankHistogram:
     eigs = np.linalg.eigvalsh(draws)
-    thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
-    ranks = np.count_nonzero(eigs > thresh, axis=1)
-    values, counts = np.unique(ranks, return_counts=True)
-    quantiles = np.quantile(eigs, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+    values, counts = np.unique(_event_ranks(eigs), return_counts=True)
     return RankHistogram(
-        {int(r): int(c) for r, c in zip(values, counts)}, quantiles, RANK_EVENT_TOL
+        {int(r): int(c) for r, c in zip(values, counts)}, _order_statistics(eigs), RANK_EVENT_TOL
     )
 
 

@@ -44,7 +44,7 @@ from .measures import (
 )
 from .report import CheckRecord, Provenance, Report
 from .samplers import (
-    RANK_EVENT_TOL,
+    _event_ranks,
     convolution_support_experiment,
     empirical_laplace,
     m_measure_sample,
@@ -87,7 +87,6 @@ class RunConfig:
 
     seed: int = 0
     trials: int = 10_000
-    tol: float = 1e-8
     threads: int | None = None
 
     def __post_init__(self) -> None:
@@ -112,6 +111,23 @@ def _map_items(config: RunConfig, items: Sequence, fn: Callable) -> list:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _gated(
+    name: str,
+    value: float | int,
+    tolerance: float,
+    provenance: Provenance,
+    detail: str,
+    holds: bool = True,
+) -> CheckRecord:
+    """The one gate rule: a record passes when holds and value <= tolerance.
+
+    Every value is a deviation, a z score or a count that should be zero,
+    so the expected value is 0 (an integer for a count).
+    """
+    expected = 0 if isinstance(value, int) else 0.0
+    return CheckRecord(name, value, expected, tolerance, holds and value <= tolerance, provenance, detail)
 
 
 def _spd(rng: np.random.Generator, d: int, lo: float, hi: float) -> np.ndarray:
@@ -156,17 +172,8 @@ def check_existence_table(config: RunConfig) -> list[CheckRecord]:
     if any(not exists_m(0.5 * i, k, 2) for i in range(2, 7) for k in range(3)):
         corner_failures.append(2)
     value = len(mismatches) + len(corner_failures)
-    return [
-        CheckRecord(
-            name="existence-table",
-            value=value,
-            expected=0,
-            tolerance=0.0,
-            passed=value == 0,
-            provenance=Provenance.CLOSED_FORM,
-            detail=f"{total} grid points over d = 1..6, shapes 0.5..d+1, ranks 0..d",
-        )
-    ]
+    detail = f"{total} grid points over d = 1..6, shapes 0.5..d+1, ranks 0..d"
+    return [_gated("existence-table", value, 0.0, Provenance.CLOSED_FORM, detail)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,17 +192,8 @@ def check_zonal_sum_rule(config: RunConfig) -> list[CheckRecord]:
                 total = sum(zonal_layer(eigs, k).values())
                 target = float(np.sum(eigs)) ** k
                 worst = max(worst, abs(total - target) / target)
-    return [
-        CheckRecord(
-            name="zonal-sum-rule",
-            value=worst,
-            expected=0.0,
-            tolerance=1e-10,
-            passed=worst <= 1e-10,
-            provenance=Provenance.SERIES,
-            detail=f"d <= 5, k <= 6, {n_spectra} random nonnegative spectra per d",
-        )
-    ]
+    detail = f"d <= 5, k <= 6, {n_spectra} random nonnegative spectra per d"
+    return [_gated("zonal-sum-rule", worst, 1e-10, Provenance.SERIES, detail)]
 
 
 def check_zonal_identity_values(config: RunConfig) -> list[CheckRecord]:
@@ -208,17 +206,8 @@ def check_zonal_identity_values(config: RunConfig) -> list[CheckRecord]:
                 exact = float(c_kappa_identity(kap, d))
                 worst = max(worst, abs(value - exact) / exact)
                 compared += 1
-    return [
-        CheckRecord(
-            name="zonal-identity-values",
-            value=worst,
-            expected=0.0,
-            tolerance=1e-14,
-            passed=worst <= 1e-14,
-            provenance=Provenance.CLOSED_FORM,
-            detail=f"{compared} (kappa, d) pairs, |kappa| <= 12, d <= 5, float layers",
-        )
-    ]
+    detail = f"{compared} (kappa, d) pairs, |kappa| <= 12, d <= 5, float layers"
+    return [_gated("zonal-identity-values", worst, 1e-14, Provenance.CLOSED_FORM, detail)]
 
 
 def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
@@ -256,23 +245,13 @@ def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
                 denom = max(check.std_error, 1e-13 * scale)
                 max_z = max(max_z, abs(check.value - check.expected) / denom)
     return [
-        CheckRecord(
-            name="zonal-lemma-pointwise",
-            value=max_dev,
-            expected=0.0,
-            tolerance=1e-10,
-            passed=max_dev <= 1e-10,
-            provenance=Provenance.CLOSED_FORM,
-            detail="minor power shift and inverse reversal, max relative deviation",
+        _gated(
+            "zonal-lemma-pointwise", max_dev, 1e-10, Provenance.CLOSED_FORM,
+            "minor power shift and inverse reversal, max relative deviation",
         ),
-        CheckRecord(
-            name="zonal-lemma-mc",
-            value=max_z,
-            expected=0.0,
-            tolerance=4.0,
-            passed=max_z <= 4.0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"trailing-part reduction, 20 triples, d in (2, 3), N = {n_samples}, pooled z",
+        _gated(
+            "zonal-lemma-mc", max_z, 4.0, Provenance.MONTE_CARLO,
+            f"trailing-part reduction, 20 triples, d in (2, 3), N = {n_samples}, pooled z",
         ),
     ]
 
@@ -398,17 +377,8 @@ def check_d2_roundtrip(config: RunConfig) -> list[CheckRecord]:
         closed = m122_laplace_cone(a, b, c)
         quad_val = m122_lt_quadrature(a, b, c)
         worst = max(worst, float(abs(quad_val - closed) / closed))
-    return [
-        CheckRecord(
-            name="d2-roundtrip",
-            value=worst,
-            expected=0.0,
-            tolerance=1e-3,
-            passed=worst <= 1e-3,
-            provenance=Provenance.QUADRATURE,
-            detail=f"{len(points)} interior points, polar-coordinate panels",
-        )
-    ]
+    detail = f"{len(points)} interior points, polar-coordinate panels"
+    return [_gated("d2-roundtrip", worst, 1e-3, Provenance.QUADRATURE, detail)]
 
 
 def check_m111_lt(config: RunConfig) -> list[CheckRecord]:
@@ -417,17 +387,7 @@ def check_m111_lt(config: RunConfig) -> list[CheckRecord]:
     for s in (0.5, 1.0, 2.0, 5.0):
         closed = s**-0.5 * math.exp(1.0 / s)
         worst = max(worst, abs(m111_lt_quadrature(s) - closed) / closed)
-    return [
-        CheckRecord(
-            name="m111-lt",
-            value=worst,
-            expected=0.0,
-            tolerance=1e-8,
-            passed=worst <= 1e-8,
-            provenance=Provenance.QUADRATURE,
-            detail="s in (0.5, 1, 2, 5)",
-        )
-    ]
+    return [_gated("m111-lt", worst, 1e-8, Provenance.QUADRATURE, "s in (0.5, 1, 2, 5)")]
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +416,13 @@ def check_fd_split(config: RunConfig) -> list[CheckRecord]:
                 if lo > hi + 1e-13:
                     monotone = False
             worst_final = max(worst_final, errors[-1])
-        passed = monotone and worst_final <= 1e-8
+        detail = (
+            "10 random s, weight sweep "
+            + "/".join(str(w) for w in sweep)
+            + (", errors monotone" if monotone else ", MONOTONICITY VIOLATED")
+        )
         records.append(
-            CheckRecord(
-                name=f"fd-split-d{d}",
-                value=worst_final,
-                expected=0.0,
-                tolerance=1e-8,
-                passed=passed,
-                provenance=Provenance.SERIES,
-                detail=(
-                    "10 random s, weight sweep "
-                    + "/".join(str(w) for w in sweep)
-                    + (", errors monotone" if monotone else ", MONOTONICITY VIOLATED")
-                ),
-            )
+            _gated(f"fd-split-d{d}", worst_final, 1e-8, Provenance.SERIES, detail, holds=monotone)
         )
     return records
 
@@ -523,23 +475,13 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
 
     z_weighted = max(_map_items(config, list(enumerate(weighted_specs)), run_weighted))
     return [
-        CheckRecord(
-            name="sampler-lt-ncw",
-            value=z_ncw,
-            expected=0.0,
-            tolerance=4.0,
-            passed=z_ncw <= 4.0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"10 random (s, w, sigma, n), d <= 4, N = {n_draws}",
+        _gated(
+            "sampler-lt-ncw", z_ncw, 4.0, Provenance.MONTE_CARLO,
+            f"10 random (s, w, sigma, n), d <= 4, N = {n_draws}",
         ),
-        CheckRecord(
-            name="sampler-lt-weighted",
-            value=z_weighted,
-            expected=0.0,
-            tolerance=4.0,
-            passed=z_weighted <= 4.0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"5 canonical measures at s > 0.6 I, N = {n_draws}",
+        _gated(
+            "sampler-lt-weighted", z_weighted, 4.0, Provenance.MONTE_CARLO,
+            f"5 canonical measures at s > 0.6 I, N = {n_draws}",
         ),
     ]
 
@@ -578,15 +520,11 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         4, 2, 2, 2000, _rng(config, 9, 2), degenerate_control=True
     )
     records.append(
-        CheckRecord(
-            name="rank-support-subspace",
-            value=hit_rate,
-            expected=0.0,
-            tolerance=0.0,
-            passed=hit_rate == 0.0 and control == 1.0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"(d,n,k) = (4,2,2) and (5,2,3), {trials} trials each; "
+        _gated(
+            "rank-support-subspace", hit_rate, 0.0, Provenance.MONTE_CARLO,
+            f"(d,n,k) = (4,2,2) and (5,2,3), {trials} trials each; "
             f"degenerate control hit rate {control}",
+            holds=control == 1.0,
         )
     )
 
@@ -600,14 +538,9 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         np.diag([1.0, 1.0, 0]), np.zeros((3, 3)), 2000, _rng(config, 9, 5)
     ).off_target(2)
     records.append(
-        CheckRecord(
-            name="rank-support-additivity",
-            value=add_off,
-            expected=0,
-            tolerance=0.0,
-            passed=add_off == 0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"(d,a,b) = (4,1,2), (3,2,2), and a zero summand, {trials} trials",
+        _gated(
+            "rank-support-additivity", add_off, 0.0, Provenance.MONTE_CARLO,
+            f"(d,a,b) = (4,1,2), (3,2,2), and a zero summand, {trials} trials",
         )
     )
 
@@ -618,14 +551,9 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         MeasureSpec(1.0, 1, 3), 0, 2000, _rng(config, 9, 7)
     ).off_target(1)
     records.append(
-        CheckRecord(
-            name="rank-support-convolution",
-            value=conv_off,
-            expected=0,
-            tolerance=0.0,
-            passed=conv_off == 0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"shape 1 rank 1 plus central shape 1 in d = 3, {trials} trials; "
+        _gated(
+            "rank-support-convolution", conv_off, 0.0, Provenance.MONTE_CARLO,
+            f"shape 1 rank 1 plus central shape 1 in d = 3, {trials} trials; "
             "zero summand control",
         )
     )
@@ -634,9 +562,7 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
     worst_off_mass = 0.0
     for d in (2, 3, 4):
         sample = singular_r_sample(d, trials, _rng(config, 9, 10 + d))
-        eigs = np.linalg.eigvalsh(sample.draws)
-        thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
-        ranks = np.count_nonzero(eigs > thresh, axis=1)
+        ranks = _event_ranks(np.linalg.eigvalsh(sample.draws))
         full_rank_events += int(np.sum(ranks == d))
         off = ranks < d - 1
         if np.any(off):
@@ -644,19 +570,13 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
             off_mass = math.exp(_logsumexp(log_w[off]) - _logsumexp(log_w))
             worst_off_mass = max(worst_off_mass, off_mass)
     records.append(
-        CheckRecord(
-            name="rank-support-singular-r",
-            value=worst_off_mass,
-            expected=0.0,
-            tolerance=config.tol,
-            passed=full_rank_events == 0 and worst_off_mass <= config.tol,
-            provenance=Provenance.MONTE_CARLO,
-            detail=(
-                f"d in (2, 3, 4), {trials} draws each; full-rank events "
-                f"{full_rank_events}; value is the largest weighted mass below "
-                "rank d-1 (the target gives such slabs mass proportional to "
-                "the eigenvalue tolerance)"
-            ),
+        _gated(
+            "rank-support-singular-r", worst_off_mass, 1e-8, Provenance.MONTE_CARLO,
+            f"d in (2, 3, 4), {trials} draws each; full-rank events "
+            f"{full_rank_events}; value is the largest weighted mass below "
+            "rank d-1 (the target gives such slabs mass proportional to "
+            "the eigenvalue tolerance)",
+            holds=full_rank_events == 0,
         )
     )
     return records
@@ -679,24 +599,11 @@ def check_faa_di_bruno(config: RunConfig) -> list[CheckRecord]:
             if n <= 8:
                 worst_fd = max(worst_fd, check.fd_rel_error)
     return [
-        CheckRecord(
-            name="faa-exact",
-            value=mismatches,
-            expected=0,
-            tolerance=0.0,
-            passed=mismatches == 0,
-            provenance=Provenance.CLOSED_FORM,
-            detail=f"n = 1..10 at {len(points)} points, rational arithmetic",
+        _gated(
+            "faa-exact", mismatches, 0.0, Provenance.CLOSED_FORM,
+            f"n = 1..10 at {len(points)} points, rational arithmetic",
         ),
-        CheckRecord(
-            name="faa-finite-difference",
-            value=worst_fd,
-            expected=0.0,
-            tolerance=1e-6,
-            passed=worst_fd <= 1e-6,
-            provenance=Provenance.QUADRATURE,
-            detail="(2n+1)-point stencils, n <= 8",
-        ),
+        _gated("faa-finite-difference", worst_fd, 1e-6, Provenance.QUADRATURE, "(2n+1)-point stencils, n <= 8"),
     ]
 
 
@@ -733,12 +640,7 @@ def run_suite(suite: str, config: RunConfig | None = None) -> Report:
     config = config or RunConfig()
     report = Report(
         command=f"verify --suite {suite}",
-        inputs={
-            "suite": suite,
-            "seed": config.seed,
-            "trials": config.trials,
-            "tol": config.tol,
-        },
+        inputs={"suite": suite, "seed": config.seed, "trials": config.trials},
     )
     start = time.perf_counter()
     for name in SUITES[suite]:

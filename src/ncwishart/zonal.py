@@ -653,6 +653,12 @@ class LemmaCheck:
     std_error: float
 
 
+def _max_rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest |lhs - rhs| relative to the larger side, with 0 against 0 scored 0."""
+    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
+
+
 def zonal_lemma_checks(
     x,
     kappa: Partition | Iterable[int],
@@ -699,16 +705,12 @@ def zonal_lemma_checks(
     shifted = np.array(parts, dtype=float) + power
     lhs = _delta_batch(ys, _minor_exponents(shifted, d))
     rhs = _delta_batch(ys, _minor_exponents(parts, d)) * np.linalg.det(stacked) ** power
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    dev = float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
-    checks.append(LemmaCheck("minor_power_shift", dev, 0.0, 0.0))
+    checks.append(LemmaCheck("minor_power_shift", _max_rel_dev(lhs, rhs), 0.0, 0.0))
 
     rev = tuple(-p for p in reversed(parts))
     lhs = _delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), _minor_exponents(parts, d))
     rhs = _delta_batch(ys[::-1, ::-1], _minor_exponents(rev, d))
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
-    dev = float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
-    checks.append(LemmaCheck("inverse_reversal", dev, 0.0, 0.0))
+    checks.append(LemmaCheck("inverse_reversal", _max_rel_dev(lhs, rhs), 0.0, 0.0))
 
     if d >= 2:
         direct = phi_kappa_mc(a, kap, n_samples, rng)

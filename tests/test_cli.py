@@ -177,7 +177,7 @@ def test_verify_json_report_schema(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["schema"] == 1
-    assert doc["inputs"]["suite"] == "fd"
+    assert doc["inputs"] == {"seed": 0, "suite": "fd", "trials": 10_000}
     assert doc["pass"] is True and doc["timing"] > 0
     assert {r["name"] for r in doc["results"]} == {"fd-split-d2", "fd-split-d3"}
 
@@ -194,6 +194,7 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
 def test_verify_rejects_bad_config(capsys):
     assert main(["verify", "--suite", "fd", "--trials", "0"]) == 2
     assert main(["verify", "--suite", "nope"]) == 2
+    assert main(["verify", "--suite", "fd", "--tol", "1e-6"]) == 2
     capsys.readouterr()
 
 

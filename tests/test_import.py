@@ -19,6 +19,7 @@ import ncwishart
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 before = set(sys.modules)
 ncwishart.run_suite("all", ncwishart.RunConfig(trials=20))
+assert "numpy.ma" not in sys.modules, "numpy.ma was loaded"
 print(json.dumps({"scipy": loaded, "new": sorted(set(sys.modules) - before)}))
 """
 

@@ -82,6 +82,11 @@ def test_existence_verdict_carries_reason_and_clause():
     assert ladder.reason is VerdictReason.OK_INTEGER_SHAPE
 
     assert not exists_m(-1.0, 0, 3)
+    assert exists_m(-1.0, 0, 3).clause == "shape -1.0 is not positive"
+    for shape in (math.inf, -math.inf, math.nan):
+        verdict = exists_m(shape, 1, 3)
+        assert not verdict and verdict.reason is VerdictReason.SHAPE_NOT_IN_LAMBDA
+        assert verdict.clause == f"shape {shape} is not finite"
     with pytest.raises(ValueError):
         exists_m(1.0, 4, 3)
     with pytest.raises(ValueError):
@@ -188,6 +193,20 @@ def test_laplace_beyond_double_range_is_a_domain_error():
             laplace_m(s, spec)
     with pytest.raises(DomainError, match="log is"):
         laplace_ncw(np.diag([-0.4999999, 1.0]), NcwParams(1.0, np.diag([1e3, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (m122_laplace_cone, (1.0, 0.9999999999, 0.0)),
+        (lt_fd_series, (1e-300 * np.eye(3), 3)),
+        (singular_r_laplace, (1e-300 * np.eye(3), 3)),
+        (density_m_fullrank, (1e-300 * np.eye(3), 2.5)),
+    ],
+)
+def test_factor_beyond_double_range_is_a_domain_error(fn, args):
+    with pytest.raises(DomainError, match="exceeds the double range: its log is"):
+        fn(*args)
 
 
 def test_reduce_to_canonical_normalizes_and_preserves_transform(rng):

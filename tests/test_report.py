@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -19,7 +21,7 @@ from ncwishart import (
 )
 from ncwishart.report import coordinate_names, format_float
 from ncwishart.symcore import lebesgue_coords
-from ncwishart.verify import RunConfig, run_suite
+from ncwishart.verify import RunConfig, _gated, run_suite
 
 
 def record(name="check", value=1.0, expected=1.0, tol=0.0, passed=True, detail=""):
@@ -81,6 +83,32 @@ def test_suite_records_do_not_depend_on_thread_count():
         for t in (1, 2)
     ]
     assert docs[0] == docs[1]
+
+
+def test_run_config_has_no_tolerance_knob():
+    assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "trials", "threads"]
+    with pytest.raises(TypeError):
+        RunConfig(tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "value, tolerance, holds, expected, passed",
+    [
+        (0, 0.0, True, 0, True),
+        (1, 0.0, True, 0, False),
+        (0.0, 0.0, False, 0.0, False),
+        (1e-9, 1e-8, True, 0.0, True),
+        (1e-8, 1e-8, True, 0.0, True),
+        (2e-8, 1e-8, True, 0.0, False),
+        (np.float64(3.9), 4.0, True, 0.0, True),
+        (math.nan, 4.0, True, 0.0, False),
+    ],
+)
+def test_every_verify_record_passes_by_one_gate_rule(value, tolerance, holds, expected, passed):
+    rec = _gated("r", value, tolerance, Provenance.MONTE_CARLO, "detail", holds=holds)
+    assert rec.expected == expected and type(rec.expected) is type(expected)
+    assert bool(rec.passed) is passed
+    assert rec.tolerance == tolerance and rec.value is value
 
 
 def test_report_csv_escaping():

@@ -23,7 +23,7 @@ from ncwishart import (
     weighted_laplace_estimate,
     zonal_lemma_checks,
 )
-from ncwishart.samplers import RANK_EVENT_TOL
+from ncwishart.samplers import RANK_EVENT_TOL, _order_statistics
 from ncwishart.symcore import haar_orthogonal_batch
 
 N_MC = 30_000
@@ -335,6 +335,20 @@ def test_rank_additivity_experiment(rng):
     assert hist.quantiles.shape == (5, 4)
     zero = rank_additivity_experiment(np.diag([1.0, 1.0, 0.0]), np.zeros((3, 3)), 500, rng)
     assert zero.off_target(2) == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 10, 101, 1000, 10_000])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_order_statistics_match_np_quantile_bit_for_bit(n, d):
+    rng = np.random.default_rng([n, d])
+    eigs = np.sort(rng.standard_normal((n, d)) * rng.uniform(0.1, 1e3), axis=1)
+    ref = np.quantile(eigs, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0)
+    got = _order_statistics(eigs)
+    assert got.shape == ref.shape == (5, d)
+    assert got.tobytes() == ref.tobytes()
+    # ties compare equal; only the sign of a tied zero may differ
+    tied = np.round(eigs / 100.0)
+    assert np.array_equal(_order_statistics(tied), np.quantile(tied, [0.0, 0.25, 0.5, 0.75, 1.0], axis=0))
 
 
 def test_convolution_support_adds_ranks(rng):
