@@ -43,7 +43,7 @@ from .samplers import (
     singular_r_sample,
     weighted_laplace_estimate,
 )
-from .verify import SUITES, RunConfig, run_suite
+from .verify import SUITES, RunConfig, _gated, run_suite
 
 __all__ = ["main"]
 
@@ -215,30 +215,15 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             est = estimate()
         except ValueError as exc:
             raise ValueError(f"cross-check unavailable: {exc}") from exc
-        _add_mc_record(report, value, est.estimate, est.std_error, n_draws)
+        z = abs(est.estimate - value) / est.std_error if est.std_error > 0 else 0.0
+        detail = f"estimate {format_float(est.estimate)} +- {format_float(est.std_error)}, N = {n_draws}"
+        report.add(_gated("mc-cross-check", z, 4.0, Provenance.MONTE_CARLO, detail))
     print(format_float(value))
     for rec in report.results[1:]:
         status = "pass" if rec.passed else "FAIL"
         print(f"{rec.name}: {format_float(rec.value)} sigma from closed form [{status}]")
     _emit_report(report, args)
     return 0 if report.passed else 1
-
-
-def _add_mc_record(
-    report: Report, closed: float, estimate: float, std_error: float, n_draws: int
-) -> None:
-    z = abs(estimate - closed) / std_error if std_error > 0 else 0.0
-    report.add(
-        CheckRecord(
-            name="mc-cross-check",
-            value=z,
-            expected=0.0,
-            tolerance=4.0,
-            passed=z <= 4.0,
-            provenance=Provenance.MONTE_CARLO,
-            detail=f"estimate {format_float(estimate)} +- {format_float(std_error)}, N = {n_draws}",
-        )
-    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

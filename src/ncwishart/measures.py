@@ -33,14 +33,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .symcore import ConePoint2, default_rank_tol, rank_psd, sym_entries
-from .zonal import _layer_values, _over_factorial
+from .symcore import ConePoint2, _count, default_rank_tol, rank_psd, sym_entries
+from .zonal import _weighted_layers
 
 __all__ = [
     "DomainError",
     "TruncationError",
-    "TruncationMode",
-    "TruncationPolicy",
     "VerdictReason",
     "ExistenceVerdict",
     "MeasureSpec",
@@ -82,57 +80,41 @@ class TruncationError(RuntimeError):
         self.last_rel_change = last_rel_change
 
 
-class TruncationMode(enum.Enum):
-    ADAPTIVE = "adaptive"
-    FIXED = "fixed"
+# The one stop rule of every zonal series: stop once _SERIES_SMALL_LAYERS
+# consecutive layers are each at most _SERIES_REL_TOL of the running total,
+# and give up with TruncationError past weight _SERIES_MAX_WEIGHT.
+_SERIES_REL_TOL = 1e-10
+_SERIES_SMALL_LAYERS = 2
+_SERIES_MAX_WEIGHT = 64
 
 
-@dataclasses.dataclass(frozen=True)
-class TruncationPolicy:
-    """How far to sum a zonal series over partition weights.
+def _sum_weight_layers(layers: Iterable[float]) -> float:
+    """Sum the weight layers w = 0, 1, 2, ... of a series under the stop rule.
 
-    ADAPTIVE stops after two consecutive weight layers fall below rel_tol
-    relative to the running total and raises TruncationError at max_weight
-    otherwise; FIXED sums every layer through max_weight unconditionally.
+    A layer that is not finite raises DomainError.  Leading layers can
+    vanish identically (gamma poles), so the count of small layers starts
+    once the total is nonzero.  No layer past _SERIES_MAX_WEIGHT is drawn.
     """
-
-    mode: TruncationMode = TruncationMode.ADAPTIVE
-    rel_tol: float = 1e-10
-    max_weight: int = 64
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_weight < 0:
-            raise ValueError("max_weight must be >= 0")
-
-
-def _sum_weight_layers(layer: Callable[[int], float], policy: TruncationPolicy) -> float:
     total = 0.0
     small_run = 0
     last_rel = math.inf
-    for w in range(policy.max_weight + 1):
-        value = layer(w)
+    for w, value in zip(range(_SERIES_MAX_WEIGHT + 1), layers):
+        if not math.isfinite(value):
+            raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
         total += value
-        if policy.mode is TruncationMode.FIXED:
-            continue
         if total == 0.0:
-            # leading layers can vanish identically (gamma poles); convergence
-            # counting starts once the series has any mass
             continue
         last_rel = abs(value) / abs(total)
-        if last_rel <= policy.rel_tol:
+        if last_rel <= _SERIES_REL_TOL:
             small_run += 1
-            if small_run >= 2:
+            if small_run >= _SERIES_SMALL_LAYERS:
                 return total
         else:
             small_run = 0
-    if policy.mode is TruncationMode.FIXED:
-        return total
     raise TruncationError(
-        f"series not converged by weight {policy.max_weight} (last layer ratio {last_rel:.3e})",
+        f"series not converged by weight {_SERIES_MAX_WEIGHT} (last layer ratio {last_rel:.3e})",
         partial_value=total,
-        max_weight=policy.max_weight,
+        max_weight=_SERIES_MAX_WEIGHT,
         last_rel_change=last_rel,
     )
 
@@ -171,10 +153,7 @@ def exists_m(shape: float, rank: int, dim: int) -> ExistenceVerdict:
     rank <= n.  Everything else is excluded.
     """
     shape = float(shape)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if not (0 <= rank <= dim):
-        raise ValueError(f"rank must be in 0..{dim}, got {rank}")
+    dim, rank = _dim_and_rank(dim, rank)
     if not math.isfinite(shape):
         return ExistenceVerdict(
             False, VerdictReason.SHAPE_NOT_IN_LAMBDA, f"shape {shape} is not finite", shape, rank, dim
@@ -221,6 +200,15 @@ def exists_m(shape: float, rank: int, dim: int) -> ExistenceVerdict:
     )
 
 
+def _dim_and_rank(dim, rank) -> tuple[int, int]:
+    """dim >= 1 and rank in 0..dim as ints, by the integer rule of symcore._count."""
+    dim = _count(dim, "dim")
+    rank = _count(rank, "rank", 0)
+    if rank > dim:
+        raise ValueError(f"rank must be in 0..{dim}, got {rank}")
+    return dim, rank
+
+
 @dataclasses.dataclass(frozen=True)
 class MeasureSpec:
     """Canonical measure parameters: shape n, rank index k, dimension d."""
@@ -230,19 +218,18 @@ class MeasureSpec:
     dim: int
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (0 <= self.rank <= self.dim):
-            raise ValueError(f"rank must be in 0..{self.dim}")
+        dim, rank = _dim_and_rank(self.dim, self.rank)
         if not (float(self.shape) > 0):
             raise ValueError("shape must be positive")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "dim", dim)
 
     @classmethod
     def of(cls, spec: "MeasureSpec | Sequence") -> "MeasureSpec":
         if isinstance(spec, MeasureSpec):
             return spec
         shape, rank, dim = spec
-        return cls(float(shape), int(rank), int(dim))
+        return cls(float(shape), rank, dim)
 
     def indicator(self) -> np.ndarray:
         """I(k, d): zeros then k trailing ones on the diagonal."""
@@ -424,28 +411,6 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
-def _zonal_series(
-    eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray], policy: TruncationPolicy
-) -> float:
-    """sum over kappa of weight_kappa C_kappa(eigs) / |kappa|!, layer by layer.
-
-    *weights* maps the padded parts of one weight layer (kappa x d, in
-    table order) to one weight per kappa; each layer is the dot product of
-    those weights with the layer's C_kappa values, divided by w! through
-    :func:`~ncwishart.zonal._over_factorial` (log scale past w = 170).  A
-    layer that is not finite raises :class:`DomainError`.
-    """
-
-    def layer(w: int) -> float:
-        parts, values = _layer_values(eigs, w)
-        value = _over_factorial(float(values @ weights(parts)), w)
-        if not math.isfinite(value):
-            raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
-        return value
-
-    return _sum_weight_layers(layer, policy)
-
-
 def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """log Gamma_d(kappa + p) for every kappa of a layer, from its padded parts.
 
@@ -455,7 +420,7 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
     zero are gamma poles, where that function raises: the table holds +inf
     there, and so does the sum.  The columns double whenever a layer's
     largest part passes them, so the table grows with the weight the series
-    reaches, not with ``max_weight``.
+    reaches.
     """
     log_pi = d * (d - 1) / 4.0 * math.log(math.pi)
     half = np.arange(d) / 2.0
@@ -480,7 +445,7 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
     return log_gammas
 
 
-def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) -> float:
+def density_m_fullrank(x, shape: float) -> float:
     """Density of m(n, d, d) at PD x, against the isometric Lebesgue measure.
 
         2^(-d(d-1)/4) * (det x)^(n/2 - (d+1)/2)
@@ -495,11 +460,11 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
     drop out; what remains is (det x)^(-1) times the interior density of
     the boundary decomposition, see :func:`density_fd`.
 
-    The series is one :func:`_zonal_series` walk weighted by the
-    reciprocal gammas exp(-log Gamma_d(kappa + n/2)) of
-    :func:`_log_multivariate_gammas`; a pole gives the weight exactly 0.
+    The series is the layer walk :func:`~ncwishart.zonal._weighted_layers`
+    weighted by the reciprocal gammas exp(-log Gamma_d(kappa + n/2)) of
+    :func:`_log_multivariate_gammas` (a pole gives the weight exactly 0)
+    and summed by :func:`_sum_weight_layers`.
     """
-    policy = policy or TruncationPolicy()
     eigs = _pd_eigenvalues(x, "x")
     d = eigs.size
     shape = float(shape)
@@ -507,13 +472,13 @@ def density_m_fullrank(x, shape: float, policy: TruncationPolicy | None = None) 
         raise DomainError(f"full-rank density requires shape >= d-1 = {d - 1}, got {shape}")
     p = shape / 2.0
     log_gammas = _log_multivariate_gammas(p, d)
-    series = _zonal_series(eigs, lambda parts: np.exp(-log_gammas(parts)), policy)
+    series = _sum_weight_layers(_weighted_layers(eigs, lambda parts: np.exp(-log_gammas(parts))))
     log_det = float(np.sum(np.log(eigs)))
     det_factor = _exp_in_range((p - (d + 1) / 2.0) * log_det, "density's determinant factor")
     return 2.0 ** (-d * (d - 1) / 4.0) * det_factor * series
 
 
-def density_fd(t, policy: TruncationPolicy | None = None) -> float:
+def density_fd(t) -> float:
     """Interior density f_d at PD t for the critical shape n = d - 1.
 
         f_d(t) = 2^(-d(d-1)/4) * (det t)^(-1) * sum over full-length kappa of
@@ -526,7 +491,17 @@ def density_fd(t, policy: TruncationPolicy | None = None) -> float:
     d = _pd_eigenvalues(t, "t").size
     if d < 2:
         raise DomainError("the boundary decomposition needs d >= 2")
-    return density_m_fullrank(t, d - 1, policy)
+    return density_m_fullrank(t, d - 1)
+
+
+def _fd_kappas(parts: np.ndarray) -> np.ndarray:
+    """Mask of the kappa of a layer whose d-th part is positive: the f_d half."""
+    return parts[:, -1] > 0
+
+
+def _remainder_kappas(parts: np.ndarray) -> np.ndarray:
+    """Mask of the kappa of a layer with at most d - 1 parts: the remainder half."""
+    return parts[:, -1] == 0
 
 
 def _split_series_at_inverse(s, dim: int) -> tuple[np.ndarray, float]:
@@ -539,20 +514,18 @@ def _split_series_at_inverse(s, dim: int) -> tuple[np.ndarray, float]:
     return inv_eigs, prefactor
 
 
-def lt_fd_series(s, dim: int, policy: TruncationPolicy | None = None) -> float:
+def lt_fd_series(s, dim: int) -> float:
     """Laplace transform of f_d * (normalized Lebesgue on the cone) at PD s.
 
         (det s)^(-(d-1)/2) * sum over full-length kappa of C_kappa(s^(-1)) / |kappa|!
 
-    One :func:`_zonal_series` walk, weighting each kappa by whether its
-    d-th part is positive.
+    The layer walk weights each kappa by the mask :func:`_fd_kappas`.
     """
-    policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-    return prefactor * _zonal_series(inv_eigs, lambda parts: parts[:, -1] > 0, policy)
+    return prefactor * _sum_weight_layers(_weighted_layers(inv_eigs, _fd_kappas))
 
 
-def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> float:
+def singular_r_laplace(s, dim: int) -> float:
     """Laplace transform at PD s of the rank-deficient remainder r.
 
     r is the singular part of the critical-shape measure m(d-1, d, d);
@@ -562,12 +535,11 @@ def singular_r_laplace(s, dim: int, policy: TruncationPolicy | None = None) -> f
 
     so that singular_r_laplace + lt_fd_series reproduces laplace_m exactly
     (the two partition classes partition the exponential-of-trace series).
-    The walk is that of :func:`lt_fd_series` with the complementary weights:
-    1 where the d-th part is 0.
+    The walk is that of :func:`lt_fd_series` with the complementary mask
+    :func:`_remainder_kappas`.
     """
-    policy = policy or TruncationPolicy()
     inv_eigs, prefactor = _split_series_at_inverse(s, dim)
-    return prefactor * _zonal_series(inv_eigs, lambda parts: parts[:, -1] == 0, policy)
+    return prefactor * _sum_weight_layers(_weighted_layers(inv_eigs, _remainder_kappas))
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +549,20 @@ def m122_laplace_cone(a: float, b: float, c: float) -> float:
     """Closed-form transform of m(1, 2, 2) at s = [[a+b, c], [c, a-b]].
 
     Equals (a^2-b^2-c^2)^(-1/2) * exp(2a / (a^2-b^2-c^2)); (a, b, c) must
-    lie in the open cone a > sqrt(b^2 + c^2).
+    lie in the open cone a > sqrt(b^2 + c^2).  Where that product is not
+    finite the value is taken from its log, and a value beyond the double
+    range raises DomainError.
     """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError("(a, b, c) must be finite")
     quad = a * a - b * b - c * c
     if a <= 0 or quad <= 0:
         raise DomainError("need a > sqrt(b^2 + c^2) for a positive definite s")
-    return quad**-0.5 * _exp_in_range(2.0 * a / quad, "transform's exponential factor")
+    exponent = 2.0 * a / quad
+    value = quad**-0.5 * math.exp(exponent) if exponent <= _LOG_DOUBLE_MAX else math.inf
+    if math.isinf(value):
+        return _exp_in_range(exponent - 0.5 * math.log(quad), "transform")
+    return value
 
 
 # Past this argument cosh(t) is e^t / 2 to roundoff (e^(-2t) < 1e-600), so

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
-from .symcore import _count, _haar_columns, default_rank_tol, haar_orthogonal_batch, sym_entries
+from .symcore import _count, _haar_columns, default_rank_tol, sym_entries
 from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
@@ -423,7 +423,9 @@ def rank_additivity_experiment(
     """Rank histogram of x0 + u y0 u^T over Haar-random orthogonal u.
 
     For x0 of rank a and y0 of rank b in the closed cone, all mass should
-    land on min(a + b, d).
+    land on min(a + b, d).  u y0 u^T is formed entries first by the
+    conjugation kernel of :func:`singular_r_sample`, so the sums are
+    exactly symmetric.
     """
     a = _closed_cone_entries(x0, "x0")
     b = _closed_cone_entries(y0, "y0")
@@ -431,10 +433,8 @@ def rank_additivity_experiment(
     if b.shape[0] != d:
         raise ValueError("x0 and y0 dimensions differ")
     trials = _count(trials, "trials")
-    u = haar_orthogonal_batch(d, trials, rng)
-    rotated = np.einsum("bij,jk,blk->bil", u, b, u)
-    sums = a[None, :, :] + 0.5 * (rotated + rotated.transpose(0, 2, 1))
-    return _rank_histogram(sums)
+    sums = a[:, :, None] + _conjugate(_haar_columns(d, trials, rng), b, d)
+    return _rank_histogram(sums.transpose(2, 0, 1))
 
 
 def convolution_support_experiment(
@@ -452,11 +452,8 @@ def convolution_support_experiment(
     matrix).  All mass should land on min(a + b, d).
     """
     spec_a = MeasureSpec.of(spec_a)
-    if int(b) != b or b < 0:
-        raise ValueError("b must be a nonnegative integer")
-    b = int(b)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    b = _count(b, "b", 0)
+    trials = _count(trials, "trials")
     d = spec_a.dim
     total = m_measure_sample(spec_a, trials, rng).draws
     if b > 0:

@@ -38,13 +38,16 @@ __all__ = [
 _ASYM_REL_TOL = 1e-9
 
 
-def _count(value, name: str, least: int = 1) -> int:
-    """value as an int >= least; numpy integers pass, floats raise ValueError."""
+def _count(value, name: str, least: int | None = 1) -> int:
+    """value as an int >= least, or any int when least is None.
+
+    Numpy integers pass; a float, string or other non-integer raises ValueError.
+    """
     try:
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < least:
+    if least is not None and count < least:
         raise ValueError(f"{name} must be >= {least}")
     return count
 

@@ -16,6 +16,7 @@ fixed by index.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import time
@@ -30,17 +31,16 @@ from .measures import (
     DomainError,
     MeasureSpec,
     NcwParams,
-    TruncationMode,
-    TruncationPolicy,
+    _fd_kappas,
+    _remainder_kappas,
+    _split_series_at_inverse,
     exists_m,
     faa_di_bruno_check,
     laplace_m,
     laplace_ncw,
-    lt_fd_series,
     m122_ac_density,
     m122_laplace_cone,
     m122_singular_density,
-    singular_r_laplace,
 )
 from .report import CheckRecord, Provenance, Report
 from .samplers import (
@@ -54,8 +54,9 @@ from .samplers import (
     subspace_intersection_experiment,
     weighted_laplace_estimate,
 )
-from .symcore import haar_orthogonal
+from .symcore import _count, haar_orthogonal
 from .zonal import (
+    _weighted_layers,
     c_kappa_identity,
     zonal_lemma_checks,
     zonal_layer,
@@ -90,10 +91,10 @@ class RunConfig:
     threads: int | None = None
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads is not None and self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        object.__setattr__(self, "seed", _count(self.seed, "seed", None))
+        object.__setattr__(self, "trials", _count(self.trials, "trials"))
+        if self.threads is not None:
+            object.__setattr__(self, "threads", _count(self.threads, "threads"))
 
     def workers(self, n_items: int) -> int:
         limit = self.threads if self.threads is not None else (os.cpu_count() or 1)
@@ -395,7 +396,12 @@ def check_m111_lt(config: RunConfig) -> list[CheckRecord]:
 
 
 def check_fd_split(config: RunConfig) -> list[CheckRecord]:
-    """singular_r_laplace + lt_fd_series against laplace_m, with a weight sweep."""
+    """singular_r_laplace + lt_fd_series against laplace_m, with a weight sweep.
+
+    Each half is one layer walk through weight 40, the walk of
+    singular_r_laplace and lt_fd_series without their stop rule; the sweep
+    reads its partial sums from the running totals.
+    """
     records = []
     sweep = (8, 16, 24, 32, 40)
     for d in (2, 3):
@@ -405,11 +411,12 @@ def check_fd_split(config: RunConfig) -> list[CheckRecord]:
         for _ in range(10):
             s = _spd(rng, d, 0.6, 3.0)
             exact = laplace_m(s, (float(d - 1), d, d))
-            errors = []
-            for w in sweep:
-                policy = TruncationPolicy(TruncationMode.FIXED, max_weight=w)
-                split = singular_r_laplace(s, d, policy) + lt_fd_series(s, d, policy)
-                errors.append(float(abs(split - exact) / exact))
+            inv_eigs, prefactor = _split_series_at_inverse(s, d)
+            r, fd = [
+                list(itertools.accumulate(itertools.islice(_weighted_layers(inv_eigs, mask), sweep[-1] + 1)))
+                for mask in (_remainder_kappas, _fd_kappas)
+            ]
+            errors = [float(abs(prefactor * r[w] + prefactor * fd[w] - exact) / exact) for w in sweep]
             # all layer terms are nonnegative, so errors shrink with the
             # cutoff; allow roundoff jitter once both sit at machine level
             for lo, hi in zip(errors[1:], errors[:-1]):

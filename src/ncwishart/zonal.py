@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -456,17 +456,34 @@ def _over_factorial(total: float, w: int) -> float:
     return total
 
 
+def _weighted_layers(eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]) -> Iterator[float]:
+    """Yield sum_kappa weight_kappa C_kappa(eigs) / w! for w = 0, 1, 2, ...
+
+    The one walk over weight layers that every zonal series takes.
+    *weights* maps the padded parts of one layer (kappa x d, in table
+    order) to one weight per kappa; each layer is the dot product of those
+    weights with the C_kappa values of :func:`_layer_values`, divided by w!
+    through :func:`_over_factorial`.  The walk never ends by itself: a
+    layer is built only when the caller asks for it, and the caller
+    decides where to stop.
+    """
+    for w in itertools.count():
+        parts, values = _layer_values(eigs, w)
+        yield _over_factorial(float(values @ weights(parts)), w)
+
+
 def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     """Partial sum through *weight_cutoff* of sum_kappa C_kappa(x)/|kappa|!.
 
-    Converges to exp(tr x); each weight layer sums honestly over its
-    partitions rather than collapsing through the power-sum identity, so
-    the value exercises the coefficient matrices of :func:`zonal_layer`.
+    Converges to exp(tr x); it is the first weight_cutoff + 1 layers of
+    :func:`_weighted_layers` with unit weights, so each layer sums honestly
+    over its partitions rather than collapsing through the power-sum
+    identity, and the value exercises the coefficient matrices of
+    :func:`zonal_layer`.
     """
-    if weight_cutoff < 0:
-        raise ValueError("weight_cutoff must be >= 0")
-    eigs = _eigenvalues_of(x)
-    return sum(_over_factorial(sum(zonal_layer(eigs, w).values()), w) for w in range(weight_cutoff + 1))
+    weight_cutoff = _count(weight_cutoff, "weight_cutoff", 0)
+    layers = _weighted_layers(_eigenvalues_of(x), lambda parts: np.ones(len(parts)))
+    return sum(itertools.islice(layers, weight_cutoff + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
+import inspect
+import itertools
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,8 @@ from ncwishart import (
     DomainError,
     MeasureSpec,
     NcwParams,
+    RunConfig,
     TruncationError,
-    TruncationMode,
-    TruncationPolicy,
     VerdictReason,
     density_fd,
     density_m_fullrank,
@@ -33,6 +33,7 @@ from ncwishart import (
     reduce_to_canonical,
     singular_r_laplace,
 )
+import ncwishart
 from ncwishart import measures, zonal
 from ncwishart.measures import _fd_stencil_weights, _log_multivariate_gammas, _sum_weight_layers
 from ncwishart.symcore import sym_entries
@@ -91,6 +92,31 @@ def test_existence_verdict_carries_reason_and_clause():
         exists_m(1.0, 4, 3)
     with pytest.raises(ValueError):
         exists_m(1.0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MeasureSpec(2.0, 1.5, 2),
+        lambda: MeasureSpec(2.0, 1, 2.0),
+        lambda: MeasureSpec.of((2.0, 1.7, 2)),
+        lambda: exists_m(1.0, 0.5, 3),
+        lambda: RunConfig(seed=1.5),
+        lambda: RunConfig(trials=2.0),
+        lambda: RunConfig(threads=1.5),
+    ],
+    ids=["spec-rank", "spec-dim", "spec-of", "exists_m-rank", "seed", "trials", "threads"],
+)
+def test_counts_must_be_integers(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_counts_accept_numpy_integers():
+    spec = MeasureSpec(2.0, np.int64(1), np.int32(2))
+    assert (type(spec.rank), type(spec.dim)) == (int, int)
+    assert exists_m(1.0, np.int64(1), np.int64(3)).rank == 1
+    assert RunConfig(seed=np.int64(-1), threads=np.int8(2)).seed == -1
 
 
 @given(
@@ -294,11 +320,16 @@ def test_split_transform_reassembles_laplace_m(rng):
 
 # The per-kappa series loops that the single weighted walk replaced, kept as
 # references: a Python sum over zonal_layer with one multivariate_gamma call
-# per kappa, or a filter on the length of kappa.
+# per kappa, or a filter on the length of kappa.  *sum_layers* sums the
+# layers; it is the stop rule unless a test fixes the cutoff.
 
 
-def _fullrank_reference(x, shape, policy=None):
-    policy = policy or TruncationPolicy()
+def _sum_first(n):
+    """A fixed cutoff in place of the stop rule: the sum of the first n layers."""
+    return lambda layers: sum(itertools.islice(layers, n), 0.0)
+
+
+def _fullrank_reference(x, shape, sum_layers=_sum_weight_layers):
     eigs = np.linalg.eigvalsh(sym_entries(x))
     d = eigs.size
     p = shape / 2.0
@@ -312,7 +343,7 @@ def _fullrank_reference(x, shape, policy=None):
             total += c * math.exp(-multivariate_gamma(p, d, kappa, log=True))
         return total / math.factorial(w)
 
-    series = _sum_weight_layers(layer, policy)
+    series = sum_layers(map(layer, itertools.count()))
     log_det = float(np.sum(np.log(eigs)))
     return 2.0 ** (-d * (d - 1) / 4.0) * math.exp((p - (d + 1) / 2.0) * log_det) * series
 
@@ -326,7 +357,7 @@ def _split_reference(s, dim, keep):
         total = sum(c for kappa, c in zonal_layer(inv_eigs, w).items() if keep(len(kappa)))
         return total / math.factorial(w)
 
-    return prefactor * _sum_weight_layers(layer, TruncationPolicy())
+    return prefactor * _sum_weight_layers(map(layer, itertools.count()))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -368,56 +399,42 @@ def test_gathered_log_gammas_equal_multivariate_gamma(d):
                     assert value == expected, (p, kappa)
 
 
-def test_fixed_policy_matches_per_kappa_series():
-    fixed = TruncationPolicy(TruncationMode.FIXED, max_weight=40)
+def test_fixed_policy_matches_per_kappa_series(monkeypatch):
+    """Through a fixed cutoff, as the fd-split sweep reads the walk."""
+    fixed = _sum_first(41)
+    monkeypatch.setattr(measures, "_sum_weight_layers", fixed)
     x = np.array([[1.3, 0.4], [0.4, 0.6]])
     for shape in (1.0, 1.5, 4.2):
-        assert density_m_fullrank(x, shape, fixed) == pytest.approx(
+        assert density_m_fullrank(x, shape) == pytest.approx(
             _fullrank_reference(x, shape, fixed), rel=1e-15, abs=0
         )
 
 
-def test_huge_max_weight_costs_nothing_up_front():
-    """The lgamma table grows with the weight reached, not with max_weight."""
-    x = np.diag([0.4, 0.7, 1.1])
-    huge = TruncationPolicy(max_weight=10**6)
-
-    def best_time(policy):
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            value = density_m_fullrank(x, 2.5, policy)
-            times.append(time.perf_counter() - start)
-        return min(times), value
-
-    default_s, default_value = best_time(None)
-    huge_s, huge_value = best_time(huge)
-    assert huge_value == default_value
-    assert huge_s < 3.0 * default_s + 0.005
-
-
-def test_series_past_weight_170_stay_finite():
+def test_series_past_weight_170_stay_finite(monkeypatch):
     """171! leaves double range; the layers past it divide in log scale."""
-    past = TruncationPolicy(TruncationMode.FIXED, max_weight=200)
     x = np.diag([0.1])
-    assert density_m_fullrank(x, 1.0, past) == pytest.approx(density_m_fullrank(x, 1.0), rel=1e-15)
     s = np.diag([2.0, 3.0])
-    assert lt_fd_series(s, 2, past) == pytest.approx(lt_fd_series(s, 2), rel=1e-15)
-    assert singular_r_laplace(s, 2, past) == pytest.approx(singular_r_laplace(s, 2), rel=1e-15)
+
+    def values():
+        return [density_m_fullrank(x, 1.0), lt_fd_series(s, 2), singular_r_laplace(s, 2)]
+
+    stopped = values()
+    monkeypatch.setattr(measures, "_sum_weight_layers", _sum_first(201))
+    assert values() == pytest.approx(stopped, rel=1e-15)
 
 
 def test_layers_past_weight_170_match_exact_division(monkeypatch):
     # inverse eigenvalues near 10 keep every layer through weight 200 finite
     # and nonzero, so the log-scale division is what the test sees
-    layers = {}
+    layers = []
 
-    def record_layers(layer, policy):
-        layers.update((w, layer(w)) for w in range(policy.max_weight + 1))
+    def record_layers(walk):
+        layers.extend(itertools.islice(walk, 201))
         return 0.0
 
     monkeypatch.setattr(measures, "_sum_weight_layers", record_layers)
     s = np.diag([0.1, 0.12])
-    lt_fd_series(s, 2, TruncationPolicy(TruncationMode.FIXED, max_weight=200))
+    lt_fd_series(s, 2)
     inv_eigs = 1.0 / np.diag(s)[::-1]
     for w in range(160, 201):
         parts, values = zonal._layer_values(inv_eigs, w)
@@ -433,33 +450,58 @@ def test_layers_past_weight_170_match_exact_division(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_non_finite_layer_is_a_domain_error():
-    past = TruncationPolicy(TruncationMode.FIXED, max_weight=200)
-    # C_kappa(1000, 1000) passes double range near weight 100
+    # C_kappa(1e6, 1e6) passes double range near weight 50, below the cap of 64
     with pytest.raises(DomainError, match="not finite"):
-        lt_fd_series(np.diag([1e-3, 1e-3]), 2, past)
+        lt_fd_series(np.diag([1e-6, 1e-6]), 2)
     with pytest.raises(DomainError, match="not finite"):
-        density_m_fullrank(np.diag([1e3, 1e3]), 1.5, past)
+        density_m_fullrank(np.diag([1e6, 1e6]), 1.5)
+    with pytest.raises(DomainError, match="layer of weight 1 is not finite"):
+        _sum_weight_layers(iter([1.0, math.nan]))
 
 
-def test_adaptive_truncation_reports_divergence():
-    tight = TruncationPolicy(rel_tol=1e-10, max_weight=6)
+def test_adaptive_truncation_reports_divergence(monkeypatch):
     with pytest.raises(TruncationError) as err:
-        lt_fd_series(0.25 * np.eye(3), 3, tight)
-    assert err.value.max_weight == 6
+        density_m_fullrank(np.diag([400.0, 520.0]), 1.5)
+    assert str(err.value) == "series not converged by weight 64 (last layer ratio 7.912e-06)"
+    assert err.value.max_weight == 64
+    assert err.value.last_rel_change == pytest.approx(7.912e-6, rel=1e-3)
     assert err.value.partial_value > 0
-    # FIXED mode returns the partial sum without complaint
-    fixed = TruncationPolicy(TruncationMode.FIXED, max_weight=6)
-    partial = lt_fd_series(0.25 * np.eye(3), 3, fixed)
-    full = lt_fd_series(0.25 * np.eye(3), 3, TruncationPolicy(max_weight=80))
+    # a fixed cutoff returns the partial sum without complaint
+    full = lt_fd_series(0.25 * np.eye(3), 3)
+    monkeypatch.setattr(measures, "_sum_weight_layers", _sum_first(7))
+    partial = lt_fd_series(0.25 * np.eye(3), 3)
     assert 0 < partial < full
 
 
 def test_truncation_policy_validation():
-    with pytest.raises(ValueError):
-        TruncationPolicy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationPolicy(max_weight=-1)
+    """The one stop rule: two small layers in a row end the sum, leading
+    zero layers do not count, and past weight 64 it raises."""
+    drawn = []
+
+    def walk(layers):
+        for value in layers:
+            drawn.append(value)
+            yield value
+
+    assert _sum_weight_layers(walk([0.0, 0.0, 1.0, 1e-11, 1e-11, 5.0])) == 1.0 + 1e-11 + 1e-11
+    assert drawn == [0.0, 0.0, 1.0, 1e-11, 1e-11]
+    # a large layer between two small ones starts the count again
+    assert _sum_weight_layers(iter([1.0, 1e-11, 1.0, 1e-11, 1e-11, 5.0])) == 1.0 + 1e-11 + 1.0 + 1e-11 + 1e-11
+    drawn.clear()
+    with pytest.raises(TruncationError) as err:
+        _sum_weight_layers(walk(itertools.repeat(1.0)))
+    assert len(drawn) == 65
+    assert (err.value.max_weight, err.value.partial_value, err.value.last_rel_change) == (64, 65.0, 1.0 / 65.0)
+
+
+def test_no_truncation_option_remains():
+    assert not hasattr(ncwishart, "TruncationPolicy")
+    assert not hasattr(ncwishart, "TruncationMode")
+    assert not hasattr(measures, "TruncationPolicy")
+    for fn in (density_m_fullrank, density_fd, lt_fd_series, singular_r_laplace):
+        assert "policy" not in inspect.signature(fn).parameters, fn.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +514,30 @@ def test_m122_laplace_cone_values():
         m122_laplace_cone(1.0, 1.0, 0.2)
     with pytest.raises(DomainError):
         m122_laplace_cone(-2.0, 0.0, 0.0)
+    for bad in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            m122_laplace_cone(*bad)
+
+
+def test_m122_laplace_cone_beyond_double_range_names_its_log(rng):
+    # the exponential factor is finite (2a / quad = 709.7), the product is not
+    a = 3.5485e-3
+    b = math.sqrt(a * a - 1e-5)
+    for fn in (lambda: m122_laplace_cone(a, b, 0.0), lambda: laplace_m(phi2((a, b, 0.0)), (1.0, 2, 2))):
+        with pytest.raises(DomainError, match="the transform exceeds the double range: its log is 715.456"):
+            fn()
+    # in range the value is the direct product, bit for bit
+    for _ in range(50):
+        b, c = rng.uniform(-2.0, 2.0, 2)
+        a = math.hypot(b, c) + rng.uniform(1e-3, 3.0)
+        quad = a * a - b * b - c * c
+        assert m122_laplace_cone(a, b, c) == quad**-0.5 * math.exp(2.0 * a / quad)
+    # an exponential factor past the double range with a finite transform
+    a = 7100.0
+    b = math.sqrt(a * a - 20.0)
+    value = m122_laplace_cone(a, b, 0.0)
+    assert math.isfinite(value)
+    assert value == pytest.approx(laplace_m(phi2((a, b, 0.0)), (1.0, 2, 2)), rel=1e-5)
 
 
 def test_m122_laplace_cone_matches_laplace_m(rng):

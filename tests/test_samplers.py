@@ -216,6 +216,10 @@ _SPEC = MeasureSpec(2.0, 1, 2)
             lambda rng: rank_additivity_experiment(np.eye(2), np.eye(2), np.int64(3), rng).trials == 3,
         ),
         (
+            lambda rng: convolution_support_experiment((1.0, 1, 3), 1.0, 3, rng),
+            lambda rng: convolution_support_experiment((1.0, 1, 3), np.int64(1), np.int64(3), rng).trials == 3,
+        ),
+        (
             lambda rng: phi_kappa_mc(np.eye(2), (1,), 2.5, rng),
             lambda rng: phi_kappa_mc(np.eye(2), (1,), np.int64(3), rng).n_samples == 3,
         ),
@@ -230,6 +234,7 @@ _SPEC = MeasureSpec(2.0, 1, 2)
         "singular_r_sample",
         "subspace_intersection_experiment",
         "rank_additivity_experiment",
+        "convolution_support_experiment",
         "phi_kappa_mc",
         "zonal_lemma_checks",
     ],
