@@ -284,6 +284,7 @@ def exists_ncw(params: NcwParams) -> ExistenceVerdict:
 
 
 _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
+_DOUBLE_TINY = float(np.finfo(float).tiny)
 
 
 def _exp_in_range(log_value: float, what: str) -> float:
@@ -549,19 +550,23 @@ def m122_laplace_cone(a: float, b: float, c: float) -> float:
     """Closed-form transform of m(1, 2, 2) at s = [[a+b, c], [c, a-b]].
 
     Equals (a^2-b^2-c^2)^(-1/2) * exp(2a / (a^2-b^2-c^2)); (a, b, c) must
-    lie in the open cone a > sqrt(b^2 + c^2).  Where that product is not
-    finite the value is taken from its log, and a value beyond the double
-    range raises DomainError.
+    lie in the open cone a > sqrt(b^2 + c^2).  Where a^2 leaves the normal
+    double range, a, b and c are squared scaled by 2^-e, with a = f 2^e and
+    1/2 <= f < 1, and the power of two is put back into each factor.  Where
+    the product is not finite the value is taken from its log, and a value
+    beyond the double range raises DomainError.
     """
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError("(a, b, c) must be finite")
-    quad = a * a - b * b - c * c
+    e = 0 if _DOUBLE_TINY <= a * a < math.inf else math.frexp(a)[1]
+    a_s, b_s, c_s = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
+    quad = a_s * a_s - b_s * b_s - c_s * c_s  # a^2 - b^2 - c^2 over 4^e
     if a <= 0 or quad <= 0:
         raise DomainError("need a > sqrt(b^2 + c^2) for a positive definite s")
-    exponent = 2.0 * a / quad
-    value = quad**-0.5 * math.exp(exponent) if exponent <= _LOG_DOUBLE_MAX else math.inf
+    exponent = math.ldexp(2.0 * a_s / quad, -e)
+    value = math.ldexp(quad**-0.5, -e) * math.exp(exponent) if exponent <= _LOG_DOUBLE_MAX else math.inf
     if math.isinf(value):
-        return _exp_in_range(exponent - 0.5 * math.log(quad), "transform")
+        return _exp_in_range(exponent - 0.5 * math.log(quad) - e * math.log(2.0), "transform")
     return value
 
 

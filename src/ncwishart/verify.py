@@ -212,7 +212,8 @@ def check_zonal_identity_values(config: RunConfig) -> list[CheckRecord]:
 
 
 def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
-    """Minor-shift, inverse-reversal, and trailing-part identities by Haar MC."""
+    """Minor-shift and inverse-reversal identities pointwise; Haar averages
+    and the trailing-part reduction against the closed-form Phi_kappa."""
     n_samples = 20 * config.trials
     triples = []
     for i in range(20):
@@ -235,13 +236,15 @@ def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
     max_z = 0.0
     for checks in results:
         for check in checks:
-            if check.std_error == 0.0:
+            if check.name in ("minor_power_shift", "inverse_reversal"):
                 max_dev = max(max_dev, abs(check.value - check.expected))
             else:
-                # rectangular kappa of full length makes both estimators
-                # deterministic (each side collapses to det(x)^m), so the
-                # std error is pure roundoff; floor the denominator at the
-                # roundoff scale instead of scoring noise against noise
+                # rectangular kappa of full length makes each mean
+                # deterministic (every draw is det(x)^m), so its std error is
+                # pure roundoff; floor the denominator at the roundoff scale
+                # instead of scoring noise against noise.  The roundoff of
+                # the mean and of the closed form stays at a few 1e-14
+                # relative for these x and m <= 3.
                 scale = max(abs(check.value), abs(check.expected), 1.0)
                 denom = max(check.std_error, 1e-13 * scale)
                 max_z = max(max_z, abs(check.value - check.expected) / denom)
@@ -252,7 +255,8 @@ def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
         ),
         _gated(
             "zonal-lemma-mc", max_z, 4.0, Provenance.MONTE_CARLO,
-            f"trailing-part reduction, 20 triples, d in (2, 3), N = {n_samples}, pooled z",
+            "Haar average and trailing-part reduction against C_kappa(x) / C_kappa(I), "
+            f"20 triples, d in (2, 3), N = {n_samples}, max z",
         ),
     ]
 

@@ -14,7 +14,8 @@ the monomials of the eigenvalues; this is the only coefficient builder.
 The module also computes the closed-form value at the identity, against
 which the verification suite checks that builder, and provides the
 power-product Delta_kappa of leading principal minors together with its
-Haar-orthogonal average Phi_kappa estimated by Monte Carlo.  The
+Haar-orthogonal average Phi_kappa estimated by Monte Carlo, which the lemma
+checks set against its closed form C_kappa(x) / C_kappa(I_d).  The
 multivariate gamma function and partitional Pochhammer symbol live here as
 well since every series built on C_kappa needs them.
 """
@@ -309,15 +310,30 @@ def _layer_data(
 def _layer_values(eigs: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
     """Padded parts (kappa x d) and C_kappa at the eigenvalues, in table order.
 
-    All monomials m_lam come from one flat gather-and-product over the
-    compositions of the weight into d slots; the cached coefficient matrix
-    of :func:`_coeff_matrix` turns them into the C_kappa values.
+    *eigs* is one eigenvalue vector of length d, or a stack of N of them,
+    shape (N, d), for which the values come one row per point, shape
+    (N, kappa).  All monomials m_lam come from one flat gather-and-product
+    over the compositions of the weight into d slots; the cached
+    coefficient matrix of :func:`_coeff_matrix` turns them into the C_kappa
+    values with one matrix-vector product per point, so each row of a stack
+    equals the call on that point alone, bit for bit.
     """
-    _, parts, coeff, flat, lam_index = _layer_data(weight, eigs.size)
-    powers = eigs[:, None] ** np.arange(weight + 1)
-    terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
-    mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
-    return parts, coeff @ mono
+    _, parts, coeff, flat, lam_index = _layer_data(weight, eigs.shape[-1])
+    if eigs.ndim == 1:
+        # the series evaluate one point per layer; a shape-generic form of
+        # the stack lines below made them about 10% slower
+        powers = eigs[:, None] ** np.arange(weight + 1)
+        terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
+        mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
+        return parts, coeff @ mono
+    # the same gather with the points along a last axis; the points bin into
+    # consecutive blocks of n_lam monomials
+    n, n_lam = eigs.shape[0], coeff.shape[1]
+    powers = eigs.T[:, None] ** np.arange(weight + 1)[:, None]
+    terms = np.multiply.reduce(powers.reshape(-1, n).take(flat, axis=0), axis=0)
+    index = lam_index[:, None] + n_lam * np.arange(n)
+    mono = np.bincount(index.ravel(), weights=terms.ravel(), minlength=n * n_lam)
+    return parts, (coeff @ mono.reshape(n, n_lam, 1))[..., 0]
 
 
 def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
@@ -592,6 +608,24 @@ def _conjugate(u: np.ndarray, a: np.ndarray, m: int) -> np.ndarray:
     return y
 
 
+def _block_eigenvalues(z: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of symmetric m x m blocks stored entries first.
+
+    z has shape (m, m, n); the result has shape (n, m).  Orders 1 and 2 are
+    in closed form, the 2 x 2 pair as (a + c)/2 -+ hypot((a - c)/2, b),
+    which is good to a few ulp of the larger eigenvalue; larger blocks go
+    through LAPACK.
+    """
+    m = z.shape[0]
+    if m == 1:
+        return z[0, 0][:, None]
+    if m == 2:
+        mid = 0.5 * (z[0, 0] + z[1, 1])
+        rad = np.hypot(0.5 * (z[0, 0] - z[1, 1]), z[0, 1])
+        return np.stack([mid - rad, mid + rad], axis=1)
+    return np.linalg.eigvalsh(z.transpose(2, 0, 1))
+
+
 @dataclasses.dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo estimate with its standard error."""
@@ -616,24 +650,26 @@ def _mc_mean(values: np.ndarray) -> McEstimate:
 # its own, so the values do not depend on the batch size.
 _MC_BATCH = 16384
 
+# Gathered eigenvalue powers per stacked call of _layer_values in the lemma
+# checks (16 MB); the verify suite's inner layers stay far below it.
+_STACK_ENTRIES = 1 << 21
+
 
 def _haar_conjugates(
-    a: np.ndarray, m: int, n: int, rng: np.random.Generator
+    a: np.ndarray, n: int, rng: np.random.Generator
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """Leading m x m blocks of u a u^T for n Haar draws u, batch by batch.
+    """u a u^T for n Haar draws u on O(d), batch by batch.
 
-    u is Haar on O(c), c = a.shape[0]; a is one symmetric matrix or one per
-    draw stored entries first, shape (c, c, n).  Yields (s, y) for
-    consecutive slices s of at most ``_MC_BATCH`` draws, with y the blocks
-    of those draws, entries first (see :func:`_conjugate`).  The batches
-    take their normals from rng one after another, which gives the same
-    normals, in the same order, as one draw of all n rotations.
+    a is one symmetric d x d matrix.  Yields (s, y) for consecutive slices s
+    of at most ``_MC_BATCH`` draws, with y the conjugates of those draws,
+    entries first (see :func:`_conjugate`).  The batches take their normals
+    from rng one after another, which gives the same normals, in the same
+    order, as one draw of all n rotations.
     """
-    c = a.shape[0]
+    d = a.shape[0]
     for lo in range(0, n, _MC_BATCH):
         s = slice(lo, min(lo + _MC_BATCH, n))
-        u = _haar_columns(c, s.stop - lo, rng)
-        yield s, _conjugate(u, a if a.ndim == 2 else a[:, :, s], m)
+        yield s, _conjugate(_haar_columns(d, s.stop - lo, rng), a, d)
 
 
 def phi_kappa_mc(
@@ -655,7 +691,7 @@ def phi_kappa_mc(
     d = a.shape[0]
     exps = _minor_exponents(kappa, d)
     vals = np.empty(n_samples)
-    for s, y in _haar_conjugates(a, d, n_samples, rng):
+    for s, y in _haar_conjugates(a, n_samples, rng):
         vals[s] = _delta_batch(y, exps)
     return _mc_mean(vals)
 
@@ -694,25 +730,32 @@ def zonal_lemma_checks(
       with J the index-reversing permutation, pointwise on the same kind of
       batch; averaging either side over Haar u gives the matching
       Phi identities.  Reported as maximum relative deviation.
-    * ``trailing_part_reduction`` (d >= 2 only): the Haar average satisfies
-      Phi_kappa(x) = det(x)^{m_d} E[Phi_{(m_1-m_d,...,m_{d-1}-m_d)}(z_u)]
-      where z_u is the leading (d-1) x (d-1) block of u x u^T.  Checked by
-      nested Monte Carlo against a direct Phi_kappa estimate; the reported
-      std_error combines both estimators.
 
-    The nested estimate walks the draws in ``_MC_BATCH`` batches
-    (:func:`_haar_conjugates`) and keeps the draw order of one whole-sample
-    pass: first every d-dimensional rotation u, whose blocks z_u are kept
-    in one (d-1, d-1, n) array, then every (d-1)-dimensional rotation v,
-    each batch of which conjugates its slice of z_u and is reduced by
-    :func:`_delta_batch` at once.  No whole-sample (d, d, n) array is
-    held.
+    For d >= 2, two Monte Carlo means over one Haar sample y = u x u^T are
+    each set against the closed form Phi_kappa(x) = C_kappa(x) / C_kappa(I_d)
+    (Faraut and Koranyi, Analysis on Symmetric Cones, 1994, ch. XI), with
+    the std_error of that mean:
+
+    * ``haar_closed_form``: the mean of Delta_kappa(y), which is what
+      :func:`phi_kappa_mc` returns for the same draws.
+    * ``trailing_part_reduction``: the mean of
+      det(x)^{m_d} Phi_inner(z_u), inner = (m_1-m_d, ..., m_{d-1}-m_d),
+      where z_u is the leading (d-1) x (d-1) block of y and the inner Haar
+      average is itself the closed form C_inner(z_u) / C_inner(I_{d-1}),
+      evaluated on the eigenvalues of every block of a batch at once.  At
+      d = 2 both means average the same per-draw values up to roundoff,
+      since Phi_(k)(z) = z^k for a 1 x 1 block.
+
+    The draws are walked in ``_MC_BATCH`` batches (:func:`_haar_conjugates`);
+    every draw is computed on its own, so the values are those of one
+    whole-sample pass.
     """
     n_samples = _count(n_samples, "n_samples", 2)
     kap = Partition.of(kappa)
     a = sym_entries(x)
     d = a.shape[0]
     parts = kap.padded(d)
+    exps = _minor_exponents(parts, d)
     checks: list[LemmaCheck] = []
 
     n_point = min(n_samples, 256)
@@ -721,28 +764,35 @@ def zonal_lemma_checks(
 
     shifted = np.array(parts, dtype=float) + power
     lhs = _delta_batch(ys, _minor_exponents(shifted, d))
-    rhs = _delta_batch(ys, _minor_exponents(parts, d)) * np.linalg.det(stacked) ** power
+    rhs = _delta_batch(ys, exps) * np.linalg.det(stacked) ** power
     checks.append(LemmaCheck("minor_power_shift", _max_rel_dev(lhs, rhs), 0.0, 0.0))
 
     rev = tuple(-p for p in reversed(parts))
-    lhs = _delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), _minor_exponents(parts, d))
+    lhs = _delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), exps)
     rhs = _delta_batch(ys[::-1, ::-1], _minor_exponents(rev, d))
     checks.append(LemmaCheck("inverse_reversal", _max_rel_dev(lhs, rhs), 0.0, 0.0))
 
     if d >= 2:
-        direct = phi_kappa_mc(a, kap, n_samples, rng)
+        closed = zonal_C(a, kap) / float(c_kappa_identity(kap, d))
         m_last = parts[-1]
-        inner = tuple(p - m_last for p in parts[:-1])
-        inner_exps = _minor_exponents(inner, d - 1)
-        det_pow = float(np.linalg.det(a)) ** m_last
-        z = np.empty((d - 1, d - 1, n_samples))
-        for s, y in _haar_conjugates(a, d - 1, n_samples, rng):
-            z[:, :, s] = y
-        vals = np.empty(n_samples)
-        for s, w in _haar_conjugates(z, d - 1, n_samples, rng):
-            vals[s] = det_pow * _delta_batch(w, inner_exps)
-        nested = _mc_mean(vals)
-        se = math.hypot(nested.std_error, direct.std_error)
-        checks.append(LemmaCheck("trailing_part_reduction", nested.estimate, direct.estimate, se))
+        inner = Partition(tuple(p - m_last for p in parts[:-1]))
+        inner_kappas, _, _, inner_flat, _ = _layer_data(inner.weight, d - 1)
+        inner_row = inner_kappas.index(inner.parts)
+        factor = float(np.linalg.det(a)) ** m_last / float(c_kappa_identity(inner, d - 1))
+        # blocks per stacked layer evaluation, so its gathered powers stay
+        # within _STACK_ENTRIES however large the inner weight
+        step = max(1, _STACK_ENTRIES // inner_flat.size)
+        direct = np.empty(n_samples)
+        reduced = np.empty(n_samples)
+        for s, y in _haar_conjugates(a, n_samples, rng):
+            direct[s] = _delta_batch(y, exps)
+            eigs, rows = _block_eigenvalues(y[: d - 1, : d - 1]), reduced[s]
+            for lo in range(0, rows.size, step):
+                _, values = _layer_values(eigs[lo : lo + step], inner.weight)
+                rows[lo : lo + step] = values[:, inner_row]
+        reduced *= factor
+        for name, vals in (("haar_closed_form", direct), ("trailing_part_reduction", reduced)):
+            est = _mc_mean(vals)
+            checks.append(LemmaCheck(name, est.estimate, closed, est.std_error))
 
     return checks

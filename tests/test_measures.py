@@ -517,6 +517,23 @@ def test_m122_laplace_cone_values():
     for bad in ((math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0), (1.0, math.nan, 0.0), (1.0, 0.0, -math.inf)):
         with pytest.raises(DomainError, match="must be finite"):
             m122_laplace_cone(*bad)
+    # a^2 overflows: the squares are taken scaled by a power of two
+    assert m122_laplace_cone(1e200, 0.0, 0.0) == pytest.approx(1e-200, rel=1e-15)
+    assert laplace_m(np.diag([1e200, 1e200]), (1.0, 2, 2)) == pytest.approx(1e-200, rel=1e-15)
+    a, b = 1e200, 1e200 * (1 - 1e-10)
+    value = m122_laplace_cone(a, b, 0.0)
+    # (a - b)(a + b) has no cancellation; the difference of squares loses about 1e-6
+    assert value == pytest.approx(((a - b) * (a + b)) ** -0.5, rel=1e-5)
+    assert value == pytest.approx(laplace_m(phi2((a, b, 0.0)), (1.0, 2, 2)), rel=1e-5)
+    with pytest.raises(DomainError, match="positive definite"):
+        m122_laplace_cone(1e200, 1e200, 1e190)
+    # a^2 underflows: inside the cone, the transform is past the double range
+    for fn in (
+        lambda: m122_laplace_cone(1e-200, 0.0, 0.0),
+        lambda: laplace_m(np.diag([1e-200, 1e-200]), (1.0, 2, 2)),
+    ):
+        with pytest.raises(DomainError, match="exceeds the double range: its log is 2e\\+200"):
+            fn()
 
 
 def test_m122_laplace_cone_beyond_double_range_names_its_log(rng):

@@ -225,7 +225,7 @@ _SPEC = MeasureSpec(2.0, 1, 2)
         ),
         (
             lambda rng: zonal_lemma_checks(np.eye(2), (1,), 2.5, rng),
-            lambda rng: len(zonal_lemma_checks(np.eye(2), (1,), np.int64(3), rng)) == 3,
+            lambda rng: len(zonal_lemma_checks(np.eye(2), (1,), np.int64(3), rng)) == 4,
         ),
     ],
     ids=[

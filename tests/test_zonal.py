@@ -319,12 +319,46 @@ def test_group_compositions_matches_unique_rows():
 def test_layer_values_equal_zonal_layer(rng):
     for d in range(1, 6):
         eigs = rng.uniform(0.2, 2.0, d)
+        # a stack with a repeated point and a zero eigenvalue; each of its
+        # rows is the one-point call on that row, bit for bit
+        stack = rng.uniform(0.2, 2.0, size=(6, d))
+        stack[2] = stack[1]
+        stack[4, 0] = 0.0
         for weight in range(25):
             parts, values = zonal._layer_values(eigs, weight)
             layer = zonal_layer(eigs, weight)
             assert parts.shape == (len(layer), d)
             assert [tuple(int(m) for m in row if m) for row in parts] == list(layer)
             assert values.tolist() == list(layer.values())
+            stack_parts, rows = zonal._layer_values(stack, weight)
+            assert np.array_equal(stack_parts, parts)
+            assert rows.shape == (len(stack), len(layer))
+            for row, point in zip(rows, stack):
+                assert row.tobytes() == zonal._layer_values(point, weight)[1].tobytes(), (d, weight)
+
+
+def test_block_eigenvalues_match_eigvalsh(rng):
+    """Orders 1 and 2 in closed form agree with LAPACK to a few ulp of the larger eigenvalue."""
+    eps = np.finfo(float).eps
+    g = rng.standard_normal((500, 2, 3))
+    blocks = list(g @ np.swapaxes(g, 1, 2))
+    blocks += [2.5 * np.eye(2), 1e-3 * np.eye(2), np.diag([0.7, 3.0]), np.diag([3.0, 0.7])]
+    blocks += [np.array([[1.0, 1e-9], [1e-9, 1.0]]), np.array([[0.4, 0.0], [0.0, 0.0]])]
+    for m, stack in ((1, np.array(blocks)[:, :1, :1]), (2, np.array(blocks))):
+        got = zonal._block_eigenvalues(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+        ref = np.linalg.eigvalsh(stack)
+        assert got.shape == ref.shape == (len(blocks), m)
+        top = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 4 * eps * top)
+    # equal eigenvalues come out equal, in ascending order like LAPACK's
+    pair = zonal._block_eigenvalues(np.stack([2.5 * np.eye(2), np.diag([3.0, 0.7])], axis=2))
+    assert pair[0].tolist() == [2.5, 2.5]
+    assert pair[1, 0] < pair[1, 1] == 3.0
+    # larger blocks are LAPACK's
+    g = rng.standard_normal((20, 3, 4))
+    stack = g @ np.swapaxes(g, 1, 2)
+    got = zonal._block_eigenvalues(np.ascontiguousarray(stack.transpose(1, 2, 0)))
+    assert np.array_equal(got, np.linalg.eigvalsh(stack))
 
 
 @pytest.mark.parametrize("weight,d", [(0, 3), (7, 1), (12, 2), (24, 3), (22, 4), (18, 5)])
@@ -463,6 +497,22 @@ def test_phi_kappa_at_identity_is_exact(rng):
     assert est.n_samples == 64
 
 
+@pytest.mark.parametrize(
+    "d, kappa, seed",
+    [(2, (2, 1), 1), (2, (3,), 2), (3, (2, 1), 3), (3, (3, 1, 1), 4), (4, (2, 1, 1), 5), (4, (1, 1), 6)],
+)
+def test_phi_kappa_mc_matches_closed_form(d, kappa, seed):
+    """E[Delta_kappa(u x u^T)] = C_kappa(x) / C_kappa(I_d) away from the identity."""
+    rng = np.random.default_rng([seed, d])
+    g = rng.standard_normal((d, d))
+    q, _ = np.linalg.qr(g)
+    x = q @ np.diag(rng.uniform(0.4, 2.5, d)) @ q.T
+    est = phi_kappa_mc(x, kappa, 40_000, rng)
+    closed = zonal_C(x, kappa) / float(c_kappa_identity(kappa, d))
+    assert est.std_error > 0.0
+    assert abs(est.estimate - closed) <= 4.0 * est.std_error
+
+
 def test_delta_batch_mixes_definite_and_singular_rows(rng):
     # positive definite rows take the pivot path, singular PSD rows the
     # explicit minors; each row must equal delta_kappa of that row alone
@@ -490,7 +540,7 @@ def test_conjugate_matches_stacked_products(rng):
     ref = stacked @ a @ np.swapaxes(stacked, 1, 2)
     assert np.allclose(zonal._conjugate(u, a, d).transpose(2, 0, 1), ref, rtol=0, atol=1e-14)
     assert np.allclose(zonal._conjugate(u, a, 2).transpose(2, 0, 1), ref[:, :2, :2], rtol=0, atol=1e-14)
-    # one matrix per draw, as in the nested estimator
+    # one matrix per draw, as in singular_r_sample
     per_draw = np.ascontiguousarray(ref[:, :2, :2].transpose(1, 2, 0))
     v = zonal._haar_columns(2, n, rng)
     v_stacked = v.transpose(2, 1, 0)
@@ -547,7 +597,7 @@ def test_delta_batch_equals_cumsum_formula(d):
 
 
 def _lemma_checks_unchunked(x, kappa, n_samples, rng, power):
-    # zonal_lemma_checks as one whole-sample pass over each Haar draw
+    # zonal_lemma_checks as one whole-sample pass over the Haar draws
     a = np.asarray(x, dtype=float)
     d = a.shape[0]
     parts = Partition.of(kappa).padded(d)
@@ -555,6 +605,9 @@ def _lemma_checks_unchunked(x, kappa, n_samples, rng, power):
     def max_rel_dev(lhs, rhs):
         scale = np.maximum(np.abs(lhs), np.abs(rhs))
         return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
+
+    def mean_and_error(v):
+        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_samples))
 
     ys = zonal._conjugate(zonal._haar_columns(d, min(n_samples, 256), rng), a, d)
     stacked = ys.transpose(2, 0, 1)
@@ -565,27 +618,42 @@ def _lemma_checks_unchunked(x, kappa, n_samples, rng, power):
     rev = tuple(-p for p in reversed(parts))
     reversal = max_rel_dev(lhs, zonal._delta_batch(ys[::-1, ::-1], zonal._minor_exponents(rev, d)))
 
-    direct = zonal._delta_batch(zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d), exps)
-    z = zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d - 1)
-    w = zonal._conjugate(zonal._haar_columns(d - 1, n_samples, rng), z, d - 1)
-    inner = zonal._minor_exponents(tuple(p - parts[-1] for p in parts[:-1]), d - 1)
-    nested = float(np.linalg.det(a)) ** parts[-1] * zonal._delta_batch(w, inner)
-    se = [float(np.std(v, ddof=1) / math.sqrt(n_samples)) for v in (nested, direct)]
+    closed = zonal_C(a, kappa) / float(c_kappa_identity(kappa, d))
+    y = zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d)
+    direct = zonal._delta_batch(y, exps)
+    inner = tuple(p - parts[-1] for p in parts[:-1])
+    blocks = y[: d - 1, : d - 1]
+    kappas, values = zonal._layer_values(zonal._block_eigenvalues(blocks), sum(inner))
+    row = [tuple(int(m) for m in k if m) for k in kappas].index(Partition(inner).parts)
+    factor = float(np.linalg.det(a)) ** parts[-1] / float(c_kappa_identity(inner, d - 1))
+    reduced = values[:, row] * factor
+    # each reduced value is det(x)^(m_d) C_inner(z_u) / C_inner(I), z_u the leading block
+    for b in range(0, n_samples, 97):
+        assert reduced[b] == pytest.approx(factor * zonal_C(blocks[:, :, b], inner), rel=1e-12)
     return [
         (shift, 0.0, 0.0),
         (reversal, 0.0, 0.0),
-        (float(np.mean(nested)), float(np.mean(direct)), math.hypot(*se)),
+        (*mean_and_error(direct), closed),
+        (*mean_and_error(reduced), closed),
     ]
 
 
-@pytest.mark.parametrize("d, kappa", [(2, (3, 1)), (3, (3, 2, 1))])
+@pytest.mark.parametrize("d, kappa", [(2, (3, 1)), (3, (3, 2, 1)), (4, (3, 2, 1, 1))])
 def test_nested_estimate_matches_unchunked_loop(monkeypatch, d, kappa):
-    x = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])[:d, :d]
+    x = np.array(
+        [[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, -0.2, 0.1], [0.1, -0.2, 0.9, 0.05], [0.0, 0.1, 0.05, 1.2]]
+    )[:d, :d]
     ref = _lemma_checks_unchunked(x, kappa, 2500, np.random.default_rng(d), 1.3)
     monkeypatch.setattr(zonal, "_MC_BATCH", 1000)
+    # a few blocks per stacked layer evaluation, as at a large inner weight
+    monkeypatch.setattr(zonal, "_STACK_ENTRIES", 50)
     checks = zonal.zonal_lemma_checks(x, kappa, 2500, np.random.default_rng(d), power=1.3)
-    assert [(c.value, c.expected, c.std_error) for c in checks] == ref
-    assert checks[2].std_error > 0.0
+    got = [(c.value, c.expected, c.std_error) for c in checks[:2]]
+    got += [(c.value, c.std_error, c.expected) for c in checks[2:]]
+    assert got == ref
+    for check in checks[2:]:
+        assert check.std_error > 0.0
+        assert abs(check.value - check.expected) <= 4.0 * check.std_error
 
 
 def test_exp_trace_partial_sum_converges_honestly():
@@ -614,15 +682,25 @@ def test_over_factorial_is_float_division_up_to_170():
 
 def test_zonal_lemma_checks_structure(rng):
     x = np.diag([1.0, 2.0, 0.5])
-    checks = zonal.zonal_lemma_checks(x, (2, 1), 4000, rng, power=1.5)
+    seed = int(rng.integers(2**32))
+    checks = zonal.zonal_lemma_checks(x, (2, 1), 4000, np.random.default_rng(seed), power=1.5)
     names = [c.name for c in checks]
-    assert names == ["minor_power_shift", "inverse_reversal", "trailing_part_reduction"]
+    assert names == ["minor_power_shift", "inverse_reversal", "haar_closed_form", "trailing_part_reduction"]
     for c in checks[:2]:
         assert c.std_error == 0.0
         assert abs(c.value - c.expected) < 1e-10
-    trailing = checks[2]
-    assert trailing.std_error > 0
-    assert abs(trailing.value - trailing.expected) < 4 * trailing.std_error
+    closed = zonal_C(x, (2, 1)) / float(c_kappa_identity((2, 1), 3))
+    for c in checks[2:]:
+        assert c.expected == closed
+        assert c.std_error > 0
+        assert abs(c.value - c.expected) < 4 * c.std_error
+    # the direct mean is phi_kappa_mc on the same draws, after the pointwise batch
+    gen = np.random.default_rng(seed)
+    zonal._haar_columns(3, 256, gen)
+    direct = phi_kappa_mc(x, (2, 1), 4000, gen)
+    assert (checks[2].value, checks[2].std_error) == (direct.estimate, direct.std_error)
+    # the trailing part averages out the inner rotation, so its mean varies less
+    assert checks[3].std_error < checks[2].std_error
 
 
 def test_monomial_symmetric_small_cases():
