@@ -219,8 +219,8 @@ class MeasureSpec:
 
     def __post_init__(self) -> None:
         dim, rank = _dim_and_rank(self.dim, self.rank)
-        if not (float(self.shape) > 0):
-            raise ValueError("shape must be positive")
+        if not 0.0 < float(self.shape) < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {self.shape}")
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "dim", dim)
 
@@ -249,8 +249,8 @@ class NcwParams:
     sigma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (float(self.shape) > 0):
-            raise ValueError("shape must be positive")
+        if not 0.0 < float(self.shape) < math.inf:
+            raise ValueError(f"shape must be positive and finite, got {self.shape}")
         w = sym_entries(self.w, "w")
         d = w.shape[0]
         sigma = np.eye(d) if self.sigma is None else sym_entries(self.sigma, "sigma")
@@ -362,21 +362,22 @@ class CanonicalReduction:
         return MeasureSpec(self.shape, self.rank, self.dim)
 
 
-def reduce_to_canonical(params: NcwParams, tol: float | None = None) -> CanonicalReduction:
+def reduce_to_canonical(params: NcwParams) -> CanonicalReduction:
     """Diagonalize M = (1/2) sigma^(-1) w sigma^(-1) into canonical (q, k).
 
     Eigenvalues of M sit in ascending order, zeros first; the trailing k
-    positive ones lambda_i^2 define q = diag(1,...,1, 1/lambda) u^T.  A
-    warning is set when the zero/nonzero split is numerically ambiguous.
+    positive ones lambda_i^2 define q = diag(1,...,1, 1/lambda) u^T.  An
+    eigenvalue counts as positive above
+    :func:`~ncwishart.symcore.default_rank_tol`, the tolerance of the ranks
+    that :func:`exists_ncw` and ``ncw_sample`` take.  A warning is set when the
+    zero/nonzero split is numerically ambiguous.
     """
     sigma_inv_w = np.linalg.solve(params.sigma, params.w)
     m = 0.5 * np.linalg.solve(params.sigma, sigma_inv_w.T).T
     m = (m + m.T) / 2.0
     vals, vecs = np.linalg.eigh(m)
     d = params.dim
-    if tol is None:
-        tol = default_rank_tol(vals, d)
-    k = int(np.count_nonzero(vals > tol))
+    k = int(np.count_nonzero(vals > default_rank_tol(vals, d)))
     scale = np.ones(d)
     if k:
         scale[d - k :] = 1.0 / np.sqrt(vals[d - k :])
@@ -412,6 +413,16 @@ def _pd_eigenvalues(x, name: str) -> np.ndarray:
     return eigs
 
 
+def _lgamma_or_inf(a: float) -> float:
+    """lgamma(a), or +inf at a pole a <= 0 and past the double range."""
+    if a <= 0.0:
+        return math.inf
+    try:
+        return math.lgamma(a)
+    except OverflowError:
+        return math.inf
+
+
 def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """log Gamma_d(kappa + p) for every kappa of a layer, from its padded parts.
 
@@ -419,9 +430,9 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
     and summed over j in the order of :func:`~ncwishart.zonal.multivariate_gamma`,
     so each equals its log=True value bit for bit.  Arguments at or below
     zero are gamma poles, where that function raises: the table holds +inf
-    there, and so does the sum.  The columns double whenever a layer's
-    largest part passes them, so the table grows with the weight the series
-    reaches.
+    there, and where lgamma overflows, and so does the sum.  The columns
+    double whenever a layer's largest part passes them, so the table grows
+    with the weight the series reaches.
     """
     log_pi = d * (d - 1) / 4.0 * math.log(math.pi)
     half = np.arange(d) / 2.0
@@ -433,7 +444,7 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
         top = int(parts[0, 0])  # a layer's first kappa is (w), its largest part
         if top >= table.shape[1]:
             cols = [
-                [math.lgamma(a) if a > 0.0 else math.inf for a in ((p + m) - half).tolist()]
+                [_lgamma_or_inf(a) for a in ((p + m) - half).tolist()]
                 for m in range(table.shape[1], 2 * top + 1)
             ]
             table = np.hstack([table, np.array(cols).T])
@@ -469,8 +480,8 @@ def density_m_fullrank(x, shape: float) -> float:
     eigs = _pd_eigenvalues(x, "x")
     d = eigs.size
     shape = float(shape)
-    if shape < d - 1 - SHAPE_INTEGER_TOL:
-        raise DomainError(f"full-rank density requires shape >= d-1 = {d - 1}, got {shape}")
+    if not d - 1 - SHAPE_INTEGER_TOL <= shape < math.inf:
+        raise DomainError(f"full-rank density requires a finite shape >= d-1 = {d - 1}, got {shape}")
     p = shape / 2.0
     log_gammas = _log_multivariate_gammas(p, d)
     series = _sum_weight_layers(_weighted_layers(eigs, lambda parts: np.exp(-log_gammas(parts))))
@@ -593,7 +604,11 @@ def m122_singular_density(y: float, z: float) -> float:
     u = 2.0 * rho
     root = 2.0 * math.sqrt(u)
     if root <= _COSH_ARG_MAX:
-        return (2.0 / (math.pi * u)) * math.cosh(root)
+        density = (2.0 / (math.pi * u)) * math.cosh(root)
+        if density == math.inf:
+            # 2 / (pi u) leaves the double range at a subnormal rho
+            raise DomainError(f"the density exceeds the double range at rho = {rho:.6g}")
+        return density
     # e^root / (pi u), with 2 rho kept out of the logs so that it cannot overflow
     log_density = 2.0 * math.sqrt(2.0) * math.sqrt(rho) - math.log(2.0 * math.pi) - math.log(rho)
     return _exp_in_range(log_density, "density")

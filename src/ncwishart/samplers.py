@@ -310,7 +310,7 @@ def weighted_laplace_estimate(sample: WeightedSample, s) -> McEstimate:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class RankHistogram:
-    """Tolerance-based rank counts with auditable spectra.
+    """Rank counts at RANK_EVENT_TOL with auditable spectra.
 
     quantiles holds the [min, 25%, 50%, 75%, max] of each eigenvalue
     position (ascending) across trials, so a borderline rank call can be
@@ -319,7 +319,6 @@ class RankHistogram:
 
     counts: dict[int, int]
     quantiles: np.ndarray
-    tol: float
 
     @property
     def trials(self) -> int:
@@ -328,15 +327,6 @@ class RankHistogram:
     def off_target(self, rank: int) -> int:
         """Number of trials whose rank differs from the expected one."""
         return sum(c for r, c in self.counts.items() if r != rank)
-
-
-def _event_ranks(eigs: np.ndarray) -> np.ndarray:
-    """Rank of each draw from its ascending eigenvalues, stacked (N, d).
-
-    An eigenvalue counts when it exceeds RANK_EVENT_TOL * max(1, lambda_max).
-    """
-    thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
-    return np.count_nonzero(eigs > thresh, axis=1)
 
 
 _QUANTILES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -365,11 +355,11 @@ def _order_statistics(eigs: np.ndarray) -> np.ndarray:
 
 
 def _rank_histogram(draws: np.ndarray) -> RankHistogram:
+    """Rank counts of draws (N, d, d): eigenvalues above RANK_EVENT_TOL * max(1, lambda_max)."""
     eigs = np.linalg.eigvalsh(draws)
-    values, counts = np.unique(_event_ranks(eigs), return_counts=True)
-    return RankHistogram(
-        {int(r): int(c) for r, c in zip(values, counts)}, _order_statistics(eigs), RANK_EVENT_TOL
-    )
+    thresh = RANK_EVENT_TOL * np.maximum(1.0, eigs[:, -1])[:, None]
+    values, counts = np.unique(np.count_nonzero(eigs > thresh, axis=1), return_counts=True)
+    return RankHistogram({int(r): int(c) for r, c in zip(values, counts)}, _order_statistics(eigs))
 
 
 def subspace_intersection_experiment(
@@ -389,6 +379,7 @@ def subspace_intersection_experiment(
     probability is 0.  degenerate_control=True zeroes the Gaussian
     components outside F, which forces every trial to hit.
     """
+    d, n, k = _count(d, "d", None), _count(n, "n", None), _count(k, "k", None)
     if not 1 <= n < d:
         raise ValueError("need 1 <= n < d")
     if not 1 <= k <= d - n:

@@ -44,7 +44,6 @@ from .measures import (
 )
 from .report import CheckRecord, Provenance, Report
 from .samplers import (
-    _event_ranks,
     convolution_support_experiment,
     empirical_laplace,
     m_measure_sample,
@@ -501,25 +500,8 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
 # Rank support
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) of a 1-D array, shifted by its largest entry.
-
-    The m entries equal to the maximum M are taken out of the sum, which
-    becomes M + log(m) + log1p(s / m) with s the sum of exp(a - M) over
-    the rest, so a dominant entry loses no digits to the 1 in log(1 + x).
-    An all -inf input, where the shift is undefined, gives -inf.
-    """
-    top = np.max(a)
-    if top == -np.inf:
-        return -math.inf
-    at_top = a == top
-    n_top = np.count_nonzero(at_top)
-    rest = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
-    return float(np.log1p(rest / n_top) + np.log(n_top) + top)
-
-
 def check_rank_support(config: RunConfig) -> list[CheckRecord]:
-    """Support statements as direct rank counts at the shared tolerance."""
+    """Support statements as rank counts, and the structural zero of the rank-(d-1) part."""
     trials = config.trials
     records = []
 
@@ -569,25 +551,22 @@ def check_rank_support(config: RunConfig) -> list[CheckRecord]:
         )
     )
 
-    full_rank_events = 0
-    worst_off_mass = 0.0
+    # Each draw u [x 0; 0 0] u^T has one structural zero eigenvalue.  Roundoff
+    # bounds |lambda_1| / lambda_d by (2 (d-1)^(5/2) + d^2) eps: the two
+    # length-(d-1) dot products of the conjugation and eigvalsh's backward
+    # error.  The bound grows with d, so the gate is its d = 4 value.
+    worst_ratio = 0.0
     for d in (2, 3, 4):
         sample = singular_r_sample(d, trials, _rng(config, 9, 10 + d))
-        ranks = _event_ranks(np.linalg.eigvalsh(sample.draws))
-        full_rank_events += int(np.sum(ranks == d))
-        off = ranks < d - 1
-        if np.any(off):
-            log_w = sample.log_weights
-            off_mass = math.exp(_logsumexp(log_w[off]) - _logsumexp(log_w))
-            worst_off_mass = max(worst_off_mass, off_mass)
+        eigs = np.linalg.eigvalsh(sample.draws)
+        worst_ratio = max(worst_ratio, float(np.max(np.abs(eigs[:, 0]) / eigs[:, -1])))
     records.append(
         _gated(
-            "rank-support-singular-r", worst_off_mass, 1e-8, Provenance.MONTE_CARLO,
-            f"d in (2, 3, 4), {trials} draws each; full-rank events "
-            f"{full_rank_events}; value is the largest weighted mass below "
-            "rank d-1 (the target gives such slabs mass proportional to "
-            "the eigenvalue tolerance)",
-            holds=full_rank_events == 0,
+            "rank-support-singular-r", worst_ratio,
+            (2.0 * 3.0**2.5 + 16.0) * np.finfo(float).eps, Provenance.MONTE_CARLO,
+            f"d in (2, 3, 4), {trials} draws each; value is the largest "
+            "|lambda_1| / lambda_d, the structural zero eigenvalue against "
+            "the largest; tolerance is the d = 4 roundoff bound",
         )
     )
     return records

@@ -341,10 +341,13 @@ def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
 
     x is a symmetric matrix or its eigenvalue vector of length d.  The
     values come from :func:`_layer_values`, keyed by kappa in table order.
+    A layer that leaves the double range raises ValueError.
     """
     eigs = _eigenvalues_of(x)
     kappas = _layer_data(weight, eigs.size)[0]
     _, values = _layer_values(eigs, weight)
+    if not np.isfinite(values).all():
+        raise ValueError(f"the zonal layer of weight {weight} leaves the double range")
     return dict(zip(kappas, values.tolist()))
 
 
@@ -495,11 +498,15 @@ def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     :func:`_weighted_layers` with unit weights, so each layer sums honestly
     over its partitions rather than collapsing through the power-sum
     identity, and the value exercises the coefficient matrices of
-    :func:`zonal_layer`.
+    :func:`zonal_layer`.  A sum that leaves the double range raises
+    ValueError.
     """
     weight_cutoff = _count(weight_cutoff, "weight_cutoff", 0)
     layers = _weighted_layers(_eigenvalues_of(x), lambda parts: np.ones(len(parts)))
-    return sum(itertools.islice(layers, weight_cutoff + 1))
+    total = sum(itertools.islice(layers, weight_cutoff + 1))
+    if not math.isfinite(total):
+        raise ValueError(f"the partial sum through weight {weight_cutoff} leaves the double range")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +546,10 @@ def _delta_minors_general(a: np.ndarray, exps: np.ndarray) -> float:
             if round(e) % 2:
                 sign_total = -sign_total
         log_total += e * logabs
-    return sign_total * math.exp(log_total)
+    try:
+        return sign_total * math.exp(log_total)
+    except OverflowError:
+        raise ValueError(f"Delta_kappa leaves the double range: its log is {log_total:.6g}") from None
 
 
 def delta_kappa(x, kappa: Partition | Iterable[int] | Sequence[float]) -> float:
@@ -565,12 +575,13 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
     positive goes through :func:`_delta_minors_general` on its own.  The
     log minors are the running sums of the log pivots, formed row by row:
     the additions of ``np.cumsum(axis=0)`` in the same order, without its
-    strided walk down the short axis.
+    strided walk down the short axis.  A value that leaves the double
+    range raises ValueError.
     """
     d, n = ys.shape[0], ys.shape[2]
     chol = np.zeros_like(ys)
     pivots = np.empty((d, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in range(d):
             lj = chol[j, :j]
             pivots[j] = ys[j, j] - np.einsum("kn,kn->n", lj, lj)
@@ -583,6 +594,8 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
         out = np.exp(exps @ logs)
     for b in np.flatnonzero(~np.all(pivots > 0.0, axis=0)):
         out[b] = _delta_minors_general(ys[:, :, b], exps)
+    if not np.isfinite(out).all():
+        raise ValueError("Delta_kappa leaves the double range")
     return out
 
 

@@ -149,6 +149,18 @@ def test_ncw_params_validation():
         NcwParams(1.0, np.diag([1.0, -0.2]))
     with pytest.raises(ValueError):
         NcwParams(1.0, np.eye(2), np.diag([1.0, 0.0]))
+    for make in (
+        lambda: NcwParams(math.inf, np.eye(2)),
+        lambda: MeasureSpec(math.inf, 0, 2),
+        lambda: laplace_m(np.eye(2), (math.inf, 0, 2)),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+    with pytest.raises(DomainError, match="finite shape"):
+        density_m_fullrank(np.eye(2), math.nan)
+    # lgamma overflows here; the weights are exactly 0, as they are at shape 1e300
+    with pytest.raises(TruncationError):
+        density_m_fullrank(np.eye(2), 1e306)
     p = NcwParams(2.0, 0.5 * np.eye(2))
     assert np.allclose(p.mean(), 2.0 * np.eye(2) + np.eye(2))
 
@@ -255,10 +267,11 @@ def test_reduce_to_canonical_normalizes_and_preserves_transform(rng):
 
 
 def test_reduce_to_canonical_flags_ambiguous_split():
-    # discarded eigenvalue 5e-6 is above 1e-6 of the kept 0.5: ambiguous
-    w = np.diag([1e-5, 1.0])
-    red = reduce_to_canonical(NcwParams(1.0, w), tol=1e-5)
-    assert red.rank == 1
+    # M = w / 2: the default tolerance, 3 eps = 6.7e-16, keeps 1e-15 and drops 1e-18,
+    # which is above 1e-6 of the smallest kept eigenvalue: ambiguous
+    w = np.diag([2e-18, 2e-15, 2.0])
+    red = reduce_to_canonical(NcwParams(1.0, w))
+    assert red.rank == 2
     assert red.warning is not None and "ill-conditioned" in red.warning
     clean = reduce_to_canonical(NcwParams(1.0, np.diag([0.0, 1.0])))
     assert clean.rank == 1 and clean.warning is None
@@ -577,6 +590,9 @@ def test_m122_singular_density_chart():
     )
     with pytest.raises(DomainError):
         m122_singular_density(0.0, 0.0)
+    # 2 / (pi u) overflows at a subnormal rho
+    with pytest.raises(DomainError, match="double range"):
+        m122_singular_density(1.7e-309, 0.0)
 
 
 @pytest.mark.parametrize("rho", [6.15e4, 6.2e4, 6.3e4])
@@ -810,20 +826,6 @@ def test_ive_three_halves_matches_scipy():
     # the closed form the m122_ac_density overflow guard uses at z > 2
     for z in np.geomspace(2.0, 1e6, 2001):
         assert measures._ive_three_halves(z) == pytest.approx(special.ive(1.5, z), rel=1e-13, abs=0.0)
-
-
-def test_logsumexp_equals_scipy():
-    from ncwishart.verify import _logsumexp
-
-    gen = np.random.default_rng(7)
-    cases = [np.array([-np.inf, -np.inf]), np.array([-np.inf, 0.0]), np.array([3.0, 3.0, -np.inf, 1.0])]
-    for scale in (1e-3, 1.0, 30.0, 300.0):
-        a = scale * gen.standard_normal(1000) - 50.0
-        cases.append(a)
-        cases.append(np.where(gen.random(1000) < 0.3, -np.inf, a))
-    for a in cases:
-        # the same shift and the same numpy reductions, so the results agree bit for bit
-        assert _logsumexp(a) == special.logsumexp(a)
 
 
 def test_m111_lt_quadrature_matches_closed_form_over_wide_s():

@@ -477,6 +477,23 @@ def test_eigenvalue_inputs_reject_non_finite_entries(call):
     call([0.5, 1.0])  # finite input passes
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_values_past_double_range_raise_value_error(rng):
+    huge = np.diag([1e200, 1.0])
+    calls = [
+        lambda: exp_trace_partial_sum(np.diag([1e160, 1.0]), 2),
+        lambda: zonal_layer(np.diag(huge), 2),
+        lambda: zonal_C(huge, (1, 1)),
+        lambda: delta_kappa(huge, (3,)),
+        # some draws leave the Cholesky path through a cancelled pivot
+        lambda: phi_kappa_mc(huge, (3,), 10, rng),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="double range"):
+            call()
+
+
 def test_delta_kappa_minors(rng):
     x = rng.standard_normal((2, 2))
     x = x @ x.T + np.eye(2)
