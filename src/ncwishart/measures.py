@@ -94,6 +94,8 @@ def _sum_weight_layers(layers: Iterable[float]) -> float:
     A layer that is not finite raises DomainError.  Leading layers can
     vanish identically (gamma poles), so the count of small layers starts
     once the total is nonzero.  No layer past _SERIES_MAX_WEIGHT is drawn.
+    A total still exactly 0 there means every layer underflowed, which
+    raises DomainError.
     """
     total = 0.0
     small_run = 0
@@ -111,6 +113,11 @@ def _sum_weight_layers(layers: Iterable[float]) -> float:
                 return total
         else:
             small_run = 0
+    if total == 0.0:
+        raise DomainError(
+            f"every zonal series layer through weight {_SERIES_MAX_WEIGHT} underflows to 0: "
+            "the series is below the double range"
+        )
     raise TruncationError(
         f"series not converged by weight {_SERIES_MAX_WEIGHT} (last layer ratio {last_rel:.3e})",
         partial_value=total,

@@ -268,7 +268,7 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
         # x is full rank almost surely; a nonpositive determinant means a
         # degenerate draw slipped through, not a usable sample.
         raise RuntimeError("inner draw with nonpositive determinant")
-    cols = _haar_columns(d, n_draws, rng)[: d - 1]
+    cols = _haar_columns(d, n_draws, rng, d - 1)
     draws = np.ascontiguousarray(_conjugate(cols, x, d).transpose(2, 0, 1))
     log_w = inner_log_w + 0.5 * (math.log(math.pi) + logdet) - math.lgamma(d / 2.0)
     return WeightedSample(draws, log_w)

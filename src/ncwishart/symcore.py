@@ -242,7 +242,7 @@ def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.nda
     return np.ascontiguousarray(_haar_columns(d, size, rng).transpose(2, 1, 0))
 
 
-def _haar_columns(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_columns(d: int, size: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
     """Haar draws of :func:`haar_orthogonal_batch`, entries first.
 
     Returns q of shape (d, d, size) with q[j, i, n] = u_n[i, j]: q[j] holds
@@ -251,16 +251,22 @@ def _haar_columns(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
     the earlier ones (classical Gram-Schmidt with reorthogonalization),
     which keeps Q orthogonal to roundoff.  A draw whose residual norm is
     zero or not finite, an event of probability 0, is redone by LAPACK QR.
+
+    With *cols*, only the leading cols columns are formed, shape
+    (cols, d, size).  The normals drawn are the same, so the rng stream
+    does not move, and the columns equal the leading columns of the full
+    call bit for bit, unless a later column alone would have been
+    degenerate.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if size < 0:
         raise ValueError("size must be >= 0")
     g = rng.standard_normal((size, d, d))
-    q = np.ascontiguousarray(g.transpose(2, 1, 0))
+    q = np.ascontiguousarray(g.transpose(2, 1, 0)[:cols])
     degenerate = np.zeros(size, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(d):
+        for j in range(q.shape[0]):
             v = q[j]
             for _ in range(2 if j else 0):
                 v -= np.einsum("kin,kn->in", q[:j], np.einsum("kin,in->kn", q[:j], v))
@@ -268,7 +274,7 @@ def _haar_columns(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
             degenerate |= ~(np.isfinite(norm) & (norm > 0.0))
             v /= norm
     if np.any(degenerate):
-        q[:, :, degenerate] = _haar_qr(g[degenerate]).transpose(2, 1, 0)
+        q[:, :, degenerate] = _haar_qr(g[degenerate])[:, :, :cols].transpose(2, 1, 0)
     return q
 
 

@@ -14,7 +14,8 @@ the monomials of the eigenvalues; this is the only coefficient builder.
 The module also computes the closed-form value at the identity, against
 which the verification suite checks that builder, and provides the
 power-product Delta_kappa of leading principal minors together with its
-Haar-orthogonal average Phi_kappa estimated by Monte Carlo, which the lemma
+Haar-orthogonal average Phi_kappa, estimated by Monte Carlo and, for
+d <= 3, given exactly by a cubature on the rotation group, which the lemma
 checks set against its closed form C_kappa(x) / C_kappa(I_d).  The
 multivariate gamma function and partitional Pochhammer symbol live here as
 well since every series built on C_kappa needs them.
@@ -663,10 +664,6 @@ def _mc_mean(values: np.ndarray) -> McEstimate:
 # its own, so the values do not depend on the batch size.
 _MC_BATCH = 16384
 
-# Gathered eigenvalue powers per stacked call of _layer_values in the lemma
-# checks (16 MB); the verify suite's inner layers stay far below it.
-_STACK_ENTRIES = 1 << 21
-
 
 def _haar_conjugates(
     a: np.ndarray, n: int, rng: np.random.Generator
@@ -709,14 +706,56 @@ def phi_kappa_mc(
     return _mc_mean(vals)
 
 
+def _haar_rule(d: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cubature on SO(d), d <= 3, exact for polynomials of degree <= *degree* in u.
+
+    Returns nodes u laid out as :func:`symcore._haar_columns` returns its
+    draws (u[k, i, n] = entry (i, k) of node n) and weights that sum to 1.
+    The rule also gives Haar averages over O(d) of every F(u x u^T): for
+    x = w D w^T with w in SO(d), a reflection r gives
+    r x r = (r w r) D (r w r)^T with r w r in SO(d), so F(u x u^T) has the
+    same average over SO(d) as over O(d).
+
+    * d = 1: the identity alone.
+    * d = 2: degree + 1 equally spaced angles; the trapezoid rule is exact
+      for trigonometric polynomials of degree <= *degree*.
+    * d = 3: ZYZ Euler angles u = R_z(alpha) R_y(beta) R_z(gamma), with
+      degree + 1 equally spaced points in alpha and in gamma and
+      ceil((degree + 1) / 2) Gauss-Legendre points in cos beta.  It
+      integrates every Wigner D-function of degree <= *degree* exactly
+      (Graf and Potts, Numer. Funct. Anal. Optim. 30, 2009).
+
+    There is no rule for d >= 4: ValueError.
+    """
+    if d == 1:
+        return np.ones((1, 1, 1)), np.ones(1)
+    n_ang = degree + 1
+    angles = 2.0 * math.pi * np.arange(n_ang) / n_ang
+    if d == 2:
+        c, s = np.cos(angles), np.sin(angles)
+        return np.array([[c, s], [-s, c]]), np.full(n_ang, 1.0 / n_ang)
+    if d != 3:
+        raise ValueError(f"no exact Haar rule for d = {d}; d must be 1, 2 or 3")
+    cos_b, w_b = np.polynomial.legendre.leggauss((degree + 2) // 2)
+    alpha, cb, gamma = (g.ravel() for g in np.meshgrid(angles, cos_b, angles, indexing="ij"))
+    ca, sa, cg, sg = np.cos(alpha), np.sin(alpha), np.cos(gamma), np.sin(gamma)
+    sb = np.sqrt(1.0 - cb**2)
+    # the columns of R_z(alpha) R_y(beta) R_z(gamma)
+    u = np.array([
+        [ca * cb * cg - sa * sg, sa * cb * cg + ca * sg, -sb * cg],
+        [-ca * cb * sg - sa * cg, ca * cg - sa * cb * sg, sb * sg],
+        [ca * sb, sa * sb, cb],
+    ])
+    return u, np.tile(np.repeat(0.5 * w_b / n_ang**2, n_ang), n_ang)
+
+
 @dataclasses.dataclass(frozen=True)
 class LemmaCheck:
-    """One identity check: value should match expected within std_error."""
+    """One identity check: value should equal expected up to roundoff."""
 
     name: str
     value: float
     expected: float
-    std_error: float
 
 
 def _max_rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -725,87 +764,76 @@ def _max_rel_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
 
 
+# The largest |kappa| that zonal_lemma_checks takes.  Its rule at d = 3 then
+# has 41 x 41 x 21 = 35,301 nodes, and the stacked inner layer gathers
+# fewer than 1.5 million eigenvalue powers.
+_LEMMA_MAX_WEIGHT = 20
+
+
 def zonal_lemma_checks(
     x,
     kappa: Partition | Iterable[int],
-    n_samples: int,
-    rng: np.random.Generator,
     power: float = 1.0,
 ) -> list[LemmaCheck]:
     """Structural identities of Delta_kappa and Phi_kappa, checked numerically.
 
-    For positive definite x and a partition kappa of length <= d:
+    For positive definite x of order d <= 3 and a partition kappa of length
+    <= d and weight <= 20, on the nodes y = u x u^T of the Haar rule
+    :func:`_haar_rule` of degree 2|kappa|:
 
     * ``minor_power_shift``: Delta_{kappa + power}(y) = Delta_kappa(y) det(y)^power,
-      pointwise on a batch of Haar conjugations y = u x u^T.  Reported as
-      the maximum relative deviation against 0.
+      pointwise.  Reported as the maximum relative deviation against 0.
     * ``inverse_reversal``: Delta_kappa(y^{-1}) = Delta_{(-m_d,...,-m_1)}(J y J)
-      with J the index-reversing permutation, pointwise on the same kind of
-      batch; averaging either side over Haar u gives the matching
-      Phi identities.  Reported as maximum relative deviation.
+      with J the index-reversing permutation, pointwise; averaging either
+      side over Haar u gives the matching Phi identities.  Reported as
+      maximum relative deviation.
 
-    For d >= 2, two Monte Carlo means over one Haar sample y = u x u^T are
-    each set against the closed form Phi_kappa(x) = C_kappa(x) / C_kappa(I_d)
-    (Faraut and Koranyi, Analysis on Symmetric Cones, 1994, ch. XI), with
-    the std_error of that mean:
+    For d >= 2, two Haar averages are each set against the closed form
+    Phi_kappa(x) = C_kappa(x) / C_kappa(I_d) (Faraut and Koranyi, Analysis
+    on Symmetric Cones, 1994, ch. XI):
 
-    * ``haar_closed_form``: the mean of Delta_kappa(y), which is what
-      :func:`phi_kappa_mc` returns for the same draws.
-    * ``trailing_part_reduction``: the mean of
+    * ``haar_closed_form``: the average of Delta_kappa(y).
+    * ``trailing_part_reduction``: the average of
       det(x)^{m_d} Phi_inner(z_u), inner = (m_1-m_d, ..., m_{d-1}-m_d),
       where z_u is the leading (d-1) x (d-1) block of y and the inner Haar
       average is itself the closed form C_inner(z_u) / C_inner(I_{d-1}),
-      evaluated on the eigenvalues of every block of a batch at once.  At
-      d = 2 both means average the same per-draw values up to roundoff,
-      since Phi_(k)(z) = z^k for a 1 x 1 block.
+      evaluated on the eigenvalues of every block at once.
 
-    The draws are walked in ``_MC_BATCH`` batches (:func:`_haar_conjugates`);
-    every draw is computed on its own, so the values are those of one
-    whole-sample pass.
+    Both integrands are polynomials of degree <= 2|kappa| in the entries of
+    u, so the rule gives each average exactly up to roundoff; nothing is
+    drawn.  A d >= 4 or a weight above 20 raises ValueError.
     """
-    n_samples = _count(n_samples, "n_samples", 2)
     kap = Partition.of(kappa)
+    if kap.weight > _LEMMA_MAX_WEIGHT:
+        raise ValueError(f"|kappa| = {kap.weight} exceeds {_LEMMA_MAX_WEIGHT}, the largest weight checked")
     a = sym_entries(x)
     d = a.shape[0]
     parts = kap.padded(d)
     exps = _minor_exponents(parts, d)
-    checks: list[LemmaCheck] = []
-
-    n_point = min(n_samples, 256)
-    ys = _conjugate(_haar_columns(d, n_point, rng), a, d)
+    u, weights = _haar_rule(d, 2 * kap.weight)
+    ys = _conjugate(u, a, d)
     stacked = ys.transpose(2, 0, 1)  # (n, d, d) view for LAPACK
+    checks: list[LemmaCheck] = []
 
     shifted = np.array(parts, dtype=float) + power
     lhs = _delta_batch(ys, _minor_exponents(shifted, d))
-    rhs = _delta_batch(ys, exps) * np.linalg.det(stacked) ** power
-    checks.append(LemmaCheck("minor_power_shift", _max_rel_dev(lhs, rhs), 0.0, 0.0))
+    direct = _delta_batch(ys, exps)
+    rhs = direct * np.linalg.det(stacked) ** power
+    checks.append(LemmaCheck("minor_power_shift", _max_rel_dev(lhs, rhs), 0.0))
 
     rev = tuple(-p for p in reversed(parts))
     lhs = _delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), exps)
     rhs = _delta_batch(ys[::-1, ::-1], _minor_exponents(rev, d))
-    checks.append(LemmaCheck("inverse_reversal", _max_rel_dev(lhs, rhs), 0.0, 0.0))
+    checks.append(LemmaCheck("inverse_reversal", _max_rel_dev(lhs, rhs), 0.0))
 
     if d >= 2:
         closed = zonal_C(a, kap) / float(c_kappa_identity(kap, d))
         m_last = parts[-1]
         inner = Partition(tuple(p - m_last for p in parts[:-1]))
-        inner_kappas, _, _, inner_flat, _ = _layer_data(inner.weight, d - 1)
-        inner_row = inner_kappas.index(inner.parts)
+        inner_row = _layer_data(inner.weight, d - 1)[0].index(inner.parts)
         factor = float(np.linalg.det(a)) ** m_last / float(c_kappa_identity(inner, d - 1))
-        # blocks per stacked layer evaluation, so its gathered powers stay
-        # within _STACK_ENTRIES however large the inner weight
-        step = max(1, _STACK_ENTRIES // inner_flat.size)
-        direct = np.empty(n_samples)
-        reduced = np.empty(n_samples)
-        for s, y in _haar_conjugates(a, n_samples, rng):
-            direct[s] = _delta_batch(y, exps)
-            eigs, rows = _block_eigenvalues(y[: d - 1, : d - 1]), reduced[s]
-            for lo in range(0, rows.size, step):
-                _, values = _layer_values(eigs[lo : lo + step], inner.weight)
-                rows[lo : lo + step] = values[:, inner_row]
-        reduced *= factor
-        for name, vals in (("haar_closed_form", direct), ("trailing_part_reduction", reduced)):
-            est = _mc_mean(vals)
-            checks.append(LemmaCheck(name, est.estimate, closed, est.std_error))
+        _, values = _layer_values(_block_eigenvalues(ys[: d - 1, : d - 1]), inner.weight)
+        checks.append(LemmaCheck("haar_closed_form", float(weights @ direct), closed))
+        checks.append(LemmaCheck("trailing_part_reduction", factor * float(weights @ values[:, inner_row]), closed))
 
     return checks

@@ -229,8 +229,8 @@ _SPEC = MeasureSpec(2.0, 1, 2)
             lambda rng: phi_kappa_mc(np.eye(2), (1,), np.int64(3), rng).n_samples == 3,
         ),
         (
-            lambda rng: zonal_lemma_checks(np.eye(2), (1,), 2.5, rng),
-            lambda rng: len(zonal_lemma_checks(np.eye(2), (1,), np.int64(3), rng)) == 4,
+            lambda rng: zonal_lemma_checks(np.eye(2), (2.5,)),
+            lambda rng: len(zonal_lemma_checks(np.eye(2), (np.int64(3),))) == 4,
         ),
     ],
     ids=[

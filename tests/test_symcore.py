@@ -20,6 +20,7 @@ from ncwishart import (
     phi2_inverse,
     rank_psd,
 )
+from ncwishart.symcore import _haar_columns
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -216,6 +217,31 @@ def test_haar_batch_degenerate_draws_fall_back_to_qr():
     assert np.all(np.isfinite(batch))
     assert np.allclose(np.einsum("nki,nkj->nij", batch, batch), np.eye(3), atol=1e-14)
     assert np.allclose(batch, _qr_with_sign_fix(draws), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_haar_columns_truncated_equal_leading_columns_of_full_call(d):
+    full = _haar_columns(d, 500, np.random.default_rng(d))
+    for cols in range(1, d + 1):
+        rng = np.random.default_rng(d)
+        got = _haar_columns(d, 500, rng, cols)
+        assert got.shape == (cols, d, 500)
+        assert got.tobytes() == full[:cols].tobytes()
+        # the same normals were drawn, so the stream is where the full call leaves it
+        assert rng.bit_generator.state == _after_normals(d, 500)
+    # draws that fall back to QR give the same leading columns too
+    good = np.random.default_rng(3).standard_normal((2, d, d))
+    zero_column = good[0].copy()
+    zero_column[:, 0] = 0.0
+    draws = np.stack([good[1], zero_column])
+    full = _haar_columns(d, 2, _StubGenerator(draws))
+    assert _haar_columns(d, 2, _StubGenerator(draws), d - 1).tobytes() == full[: d - 1].tobytes()
+
+
+def _after_normals(d, size):
+    rng = np.random.default_rng(d)
+    rng.standard_normal((size, d, d))
+    return rng.bit_generator.state
 
 
 def test_gram_basics():

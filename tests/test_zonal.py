@@ -21,6 +21,7 @@ from ncwishart import (
     zonal_layer,
 )
 from ncwishart.measures import density_fd, density_m_fullrank
+from ncwishart.verify import RunConfig, check_zonal_lemma_mc
 from ncwishart.zonal import _dominated_by, _hook_norm, _rho, _transfers, partitions_of_weight
 
 F = Fraction
@@ -613,64 +614,114 @@ def test_delta_batch_equals_cumsum_formula(d):
         assert got.tobytes() == ref.tobytes()
 
 
-def _lemma_checks_unchunked(x, kappa, n_samples, rng, power):
-    # zonal_lemma_checks as one whole-sample pass over the Haar draws
+def _lemma_checks_per_node(x, kappa, power):
+    # zonal_lemma_checks node by node: each y = u x u^T by matrix products,
+    # delta_kappa on it and zonal_C on its leading block
     a = np.asarray(x, dtype=float)
     d = a.shape[0]
     parts = Partition.of(kappa).padded(d)
-
-    def max_rel_dev(lhs, rhs):
-        scale = np.maximum(np.abs(lhs), np.abs(rhs))
-        return float(np.max(np.abs(lhs - rhs) / np.where(scale > 0, scale, 1.0)))
-
-    def mean_and_error(v):
-        return float(np.mean(v)), float(np.std(v, ddof=1) / math.sqrt(n_samples))
-
-    ys = zonal._conjugate(zonal._haar_columns(d, min(n_samples, 256), rng), a, d)
-    stacked = ys.transpose(2, 0, 1)
-    exps = zonal._minor_exponents(parts, d)
-    lhs = zonal._delta_batch(ys, zonal._minor_exponents(np.array(parts, dtype=float) + power, d))
-    shift = max_rel_dev(lhs, zonal._delta_batch(ys, exps) * np.linalg.det(stacked) ** power)
-    lhs = zonal._delta_batch(np.linalg.inv(stacked).transpose(1, 2, 0), exps)
-    rev = tuple(-p for p in reversed(parts))
-    reversal = max_rel_dev(lhs, zonal._delta_batch(ys[::-1, ::-1], zonal._minor_exponents(rev, d)))
-
-    closed = zonal_C(a, kappa) / float(c_kappa_identity(kappa, d))
-    y = zonal._conjugate(zonal._haar_columns(d, n_samples, rng), a, d)
-    direct = zonal._delta_batch(y, exps)
     inner = tuple(p - parts[-1] for p in parts[:-1])
-    blocks = y[: d - 1, : d - 1]
-    kappas, values = zonal._layer_values(zonal._block_eigenvalues(blocks), sum(inner))
-    row = [tuple(int(m) for m in k if m) for k in kappas].index(Partition(inner).parts)
-    factor = float(np.linalg.det(a)) ** parts[-1] / float(c_kappa_identity(inner, d - 1))
-    reduced = values[:, row] * factor
-    # each reduced value is det(x)^(m_d) C_inner(z_u) / C_inner(I), z_u the leading block
-    for b in range(0, n_samples, 97):
-        assert reduced[b] == pytest.approx(factor * zonal_C(blocks[:, :, b], inner), rel=1e-12)
-    return [
-        (shift, 0.0, 0.0),
-        (reversal, 0.0, 0.0),
-        (*mean_and_error(direct), closed),
-        (*mean_and_error(reduced), closed),
-    ]
+    shifted = tuple(p + power for p in parts)
+    rev = tuple(-p for p in reversed(parts))
+    u, weights = zonal._haar_rule(d, 2 * sum(parts))
+    shift = reversal = direct = reduced = 0.0
+
+    def rel_dev(lhs, rhs):
+        return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+
+    for n, w in enumerate(weights):
+        un = u[:, :, n].T
+        y = un @ a @ un.T
+        y = (y + y.T) / 2.0
+        delta = delta_kappa(y, parts)
+        shift = max(shift, rel_dev(delta_kappa(y, shifted), delta * np.linalg.det(y) ** power))
+        reversal = max(reversal, rel_dev(delta_kappa(np.linalg.inv(y), parts), delta_kappa(y[::-1, ::-1], rev)))
+        direct += w * delta
+        reduced += w * zonal_C(y[: d - 1, : d - 1], inner)
+    reduced *= float(np.linalg.det(a)) ** parts[-1] / float(c_kappa_identity(inner, d - 1))
+    return shift, reversal, direct, reduced
 
 
-@pytest.mark.parametrize("d, kappa", [(2, (3, 1)), (3, (3, 2, 1)), (4, (3, 2, 1, 1))])
-def test_nested_estimate_matches_unchunked_loop(monkeypatch, d, kappa):
-    x = np.array(
-        [[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, -0.2, 0.1], [0.1, -0.2, 0.9, 0.05], [0.0, 0.1, 0.05, 1.2]]
-    )[:d, :d]
-    ref = _lemma_checks_unchunked(x, kappa, 2500, np.random.default_rng(d), 1.3)
-    monkeypatch.setattr(zonal, "_MC_BATCH", 1000)
-    # a few blocks per stacked layer evaluation, as at a large inner weight
-    monkeypatch.setattr(zonal, "_STACK_ENTRIES", 50)
-    checks = zonal.zonal_lemma_checks(x, kappa, 2500, np.random.default_rng(d), power=1.3)
-    got = [(c.value, c.expected, c.std_error) for c in checks[:2]]
-    got += [(c.value, c.std_error, c.expected) for c in checks[2:]]
-    assert got == ref
-    for check in checks[2:]:
-        assert check.std_error > 0.0
-        assert abs(check.value - check.expected) <= 4.0 * check.std_error
+@pytest.mark.parametrize("d, kappa", [(2, (3, 1)), (3, (3, 2, 1))])
+def test_nested_estimate_matches_unchunked_loop(d, kappa):
+    x = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])[:d, :d]
+    shift, reversal, direct, reduced = _lemma_checks_per_node(x, kappa, 1.3)
+    checks = zonal.zonal_lemma_checks(x, kappa, power=1.3)
+    closed = zonal_C(x, kappa) / float(c_kappa_identity(kappa, d))
+    # the batched kernels and the per-node loop round differently: a few
+    # ulp per node, summed over at most 1,183 nodes
+    assert [c.expected for c in checks] == [0.0, 0.0, closed, closed]
+    assert max(checks[0].value, checks[1].value, shift, reversal) <= 1e-13
+    assert checks[2].value == pytest.approx(direct, rel=1e-13, abs=0)
+    assert checks[3].value == pytest.approx(reduced, rel=1e-13, abs=0)
+    assert direct == pytest.approx(closed, rel=1e-13, abs=0)
+    assert reduced == pytest.approx(closed, rel=1e-13, abs=0)
+
+
+def test_haar_rule_matches_closed_form_on_random_triples():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        d = 2 + i % 2
+        kappa = tuple(sorted(rng.integers(0, 4, size=d).tolist(), reverse=True))
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        x = q @ np.diag(rng.uniform(0.4, 2.5, d)) @ q.T
+        checks = zonal.zonal_lemma_checks(x, kappa, power=float(rng.uniform(0.5, 2.0)))
+        closed = zonal_C(x, kappa) / float(c_kappa_identity(kappa, d))
+        assert [c.expected for c in checks] == [0.0, 0.0, closed, closed]
+        assert checks[0].value <= 1e-13 and checks[1].value <= 1e-13
+        for c in checks[2:]:
+            assert abs(c.value - closed) <= 1e-13 * closed, (i, kappa, c.name)
+
+
+def test_haar_rule_weights_and_nodes():
+    for d in (1, 2, 3):
+        for degree in (0, 1, 4, 7):
+            u, weights = zonal._haar_rule(d, degree)
+            n = {1: 1, 2: degree + 1, 3: (degree + 1) ** 2 * ((degree + 2) // 2)}[d]
+            assert u.shape == (d, d, n) and weights.shape == (n,)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-15)
+            stacked = u.transpose(2, 1, 0)
+            assert np.allclose(stacked @ np.swapaxes(stacked, 1, 2), np.eye(d), rtol=0, atol=1e-15)
+            assert np.allclose(np.linalg.det(stacked), 1.0, rtol=0, atol=1e-14)
+    # E[u_11^4] = 3 / (d (d + 2)) on O(d) needs degree 4, and degree 3 misses it
+    for d in (2, 3):
+        exact = 3.0 / (d * (d + 2))
+        u, weights = zonal._haar_rule(d, 4)
+        assert weights @ u[0, 0] ** 4 == pytest.approx(exact, rel=1e-15)
+        u, weights = zonal._haar_rule(d, 3)
+        assert abs(weights @ u[0, 0] ** 4 - exact) > 1e-3
+
+
+def test_under_resolved_haar_rule_fails_the_record_gate(monkeypatch):
+    gate = check_zonal_lemma_mc(RunConfig())[1].tolerance
+    x = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 0.9]])
+    exact_rule = zonal._haar_rule
+
+    def worst_at(degree):
+        monkeypatch.setattr(zonal, "_haar_rule", lambda d, _: exact_rule(d, degree))
+        checks = zonal.zonal_lemma_checks(x, (3, 1, 0))
+        return max(abs(c.value - c.expected) / c.expected for c in checks[2:])
+
+    assert worst_at(8) <= gate  # degree 2|kappa|
+    assert worst_at(2) > 1e6 * gate
+    record = check_zonal_lemma_mc(RunConfig())[1]
+    assert record.name == "zonal-lemma-cubature" and not record.passed
+
+
+def test_zonal_lemma_records_pass_at_seeds_0_to_39():
+    # the Monte Carlo form of these records failed on correct code at 2 of
+    # 600 seeds; the cubature leaves only roundoff
+    for seed in range(40):
+        records = check_zonal_lemma_mc(RunConfig(seed=seed))
+        assert [rec.name for rec in records if not rec.passed] == [], seed
+
+
+def test_zonal_lemma_checks_refuse_d4_and_large_weight():
+    with pytest.raises(ValueError, match="d = 4"):
+        zonal.zonal_lemma_checks(np.eye(4), (1,))
+    with pytest.raises(ValueError, match="exceeds 20"):
+        zonal.zonal_lemma_checks(np.eye(2), (11, 10))
+    assert len(zonal.zonal_lemma_checks(np.eye(2), (10, 10))) == 4
 
 
 def test_exp_trace_partial_sum_converges_honestly():
@@ -697,27 +748,20 @@ def test_over_factorial_is_float_division_up_to_170():
     )
     assert zonal._over_factorial(0.0, 200) == 0.0
 
-def test_zonal_lemma_checks_structure(rng):
+def test_zonal_lemma_checks_structure():
     x = np.diag([1.0, 2.0, 0.5])
-    seed = int(rng.integers(2**32))
-    checks = zonal.zonal_lemma_checks(x, (2, 1), 4000, np.random.default_rng(seed), power=1.5)
+    checks = zonal.zonal_lemma_checks(x, (2, 1), power=1.5)
     names = [c.name for c in checks]
     assert names == ["minor_power_shift", "inverse_reversal", "haar_closed_form", "trailing_part_reduction"]
     for c in checks[:2]:
-        assert c.std_error == 0.0
-        assert abs(c.value - c.expected) < 1e-10
+        assert c.expected == 0.0
+        assert abs(c.value - c.expected) < 1e-13
     closed = zonal_C(x, (2, 1)) / float(c_kappa_identity((2, 1), 3))
     for c in checks[2:]:
         assert c.expected == closed
-        assert c.std_error > 0
-        assert abs(c.value - c.expected) < 4 * c.std_error
-    # the direct mean is phi_kappa_mc on the same draws, after the pointwise batch
-    gen = np.random.default_rng(seed)
-    zonal._haar_columns(3, 256, gen)
-    direct = phi_kappa_mc(x, (2, 1), 4000, gen)
-    assert (checks[2].value, checks[2].std_error) == (direct.estimate, direct.std_error)
-    # the trailing part averages out the inner rotation, so its mean varies less
-    assert checks[3].std_error < checks[2].std_error
+        assert abs(c.value - c.expected) <= 1e-13 * closed
+    # nothing is drawn, so a second call gives the same records
+    assert zonal.zonal_lemma_checks(x, (2, 1), power=1.5) == checks
 
 
 def test_monomial_symmetric_small_cases():
