@@ -15,15 +15,12 @@ from .symcore import (
     ConeClass,
     ConePoint2,
     ConeTag,
-    SymMatrix,
+    DomainError,
+    TruncationError,
     cone_classify,
-    gram,
-    haar_orthogonal,
-    haar_orthogonal_batch,
     lebesgue_coords,
     coords_to_matrix,
     phi2,
-    phi2_inverse,
     rank_psd,
 )
 from .zonal import (
@@ -39,11 +36,9 @@ from .zonal import (
     zonal_lemma_checks,
 )
 from .measures import (
-    DomainError,
     ExistenceVerdict,
     MeasureSpec,
     NcwParams,
-    TruncationError,
     VerdictReason,
     exists_m,
     exists_ncw,
@@ -91,15 +86,12 @@ __all__ = [
     "ConeClass",
     "ConePoint2",
     "ConeTag",
-    "SymMatrix",
+    "DomainError",
+    "TruncationError",
     "cone_classify",
-    "gram",
-    "haar_orthogonal",
-    "haar_orthogonal_batch",
     "lebesgue_coords",
     "coords_to_matrix",
     "phi2",
-    "phi2_inverse",
     "rank_psd",
     # zonal
     "Partition",
@@ -113,11 +105,9 @@ __all__ = [
     "exp_trace_partial_sum",
     "zonal_lemma_checks",
     # measures
-    "DomainError",
     "ExistenceVerdict",
     "MeasureSpec",
     "NcwParams",
-    "TruncationError",
     "VerdictReason",
     "exists_m",
     "exists_ncw",

@@ -33,12 +33,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .symcore import ConePoint2, _count, default_rank_tol, rank_psd, sym_entries
+from .symcore import (
+    ConePoint2,
+    DomainError,
+    TruncationError,
+    _count,
+    default_rank_tol,
+    rank_psd,
+    sym_entries,
+)
 from .zonal import _weighted_layers
 
 __all__ = [
-    "DomainError",
-    "TruncationError",
     "VerdictReason",
     "ExistenceVerdict",
     "MeasureSpec",
@@ -64,20 +70,6 @@ __all__ = [
 # Shapes this close to an integer are treated as that integer when testing
 # membership in the discrete ladder {1, ..., d-2}.
 SHAPE_INTEGER_TOL = 1e-9
-
-
-class DomainError(ValueError):
-    """Evaluation point or parameter outside the mathematical domain."""
-
-
-class TruncationError(RuntimeError):
-    """Adaptive series failed to meet its tolerance within the weight cap."""
-
-    def __init__(self, message: str, partial_value: float, max_weight: int, last_rel_change: float) -> None:
-        super().__init__(message)
-        self.partial_value = partial_value
-        self.max_weight = max_weight
-        self.last_rel_change = last_rel_change
 
 
 # The one stop rule of every zonal series: stop once _SERIES_SMALL_LAYERS

@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .measures import SHAPE_INTEGER_TOL, DomainError, MeasureSpec, NcwParams
-from .symcore import _count, _haar_columns, default_rank_tol, sym_entries
+from .measures import SHAPE_INTEGER_TOL, MeasureSpec, NcwParams
+from .symcore import DomainError, _count, _haar_columns, default_rank_tol, sym_entries
 from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
@@ -256,8 +256,9 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
     x stay entries first as the Gaussian-sum kernel forms them; their
     log-determinants are taken on a strided (n_draws, d-1, d-1) view.  The
     draw only involves the first d - 1 columns of u, so it is formed as
-    u_{d-1} x u_{d-1}^T from those columns, taken entries first from the
-    same normals :func:`haar_orthogonal_batch` would draw.  Draws are exactly
+    u_{d-1} x u_{d-1}^T from those columns, which
+    :func:`~ncwishart.symcore._haar_columns` forms entries first from the
+    same normals as the full matrices.  Draws are exactly
     symmetric, and every draw has rank exactly d - 1 almost surely.
     """
     d = _count(d, "d", 2)

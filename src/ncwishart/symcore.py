@@ -1,8 +1,10 @@
-"""Symmetric-matrix primitives.
+"""Symmetric-matrix primitives and the package's typed errors.
 
 Cone membership with a rank tolerance, Haar sampling on the orthogonal
-group, the d=2 cone-of-revolution parameterization, the isometric Lebesgue
-coordinates on symmetric matrices, and Gram matrices.
+group, the d=2 cone-of-revolution parameterization and the isometric
+Lebesgue coordinates on symmetric matrices.  ``DomainError`` and
+``TruncationError`` are defined here, in the one module that every other
+module imports, so that every module raises the same two classes.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ import dataclasses
 import enum
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "SymMatrix",
+    "DomainError",
+    "TruncationError",
     "ConeTag",
     "ConeClass",
     "ConePoint2",
@@ -24,18 +27,28 @@ __all__ = [
     "cone_classify",
     "rank_psd",
     "default_rank_tol",
-    "haar_orthogonal",
-    "haar_orthogonal_batch",
     "phi2",
-    "phi2_inverse",
     "lebesgue_coords",
     "coords_to_matrix",
-    "gram",
 ]
 
 # Relative asymmetry above which an input is rejected instead of silently
 # symmetrized.
 _ASYM_REL_TOL = 1e-9
+
+
+class DomainError(ValueError):
+    """Evaluation point or parameter outside the mathematical domain."""
+
+
+class TruncationError(RuntimeError):
+    """Adaptive series failed to meet its tolerance within the weight cap."""
+
+    def __init__(self, message: str, partial_value: float, max_weight: int, last_rel_change: float) -> None:
+        super().__init__(message)
+        self.partial_value = partial_value
+        self.max_weight = max_weight
+        self.last_rel_change = last_rel_change
 
 
 def _count(value, name: str, least: int | None = 1) -> int:
@@ -52,15 +65,12 @@ def _count(value, name: str, least: int | None = 1) -> int:
     return count
 
 
-def sym_entries(m: "SymMatrix | np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:
-    """Return a d x d exactly-symmetric float array for *m*.
+def sym_entries(m: "np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:
+    """Return a d x d exactly-symmetric float array for the array-like *m*.
 
-    Accepts a :class:`SymMatrix` or anything array-like. At least one row,
-    finite entries and near-symmetry are required; the result is (a + a.T)/2, which is exactly
-    symmetric in floating point.
+    At least one row, finite entries and near-symmetry are required; the
+    result is (a + a.T)/2, which is exactly symmetric in floating point.
     """
-    if isinstance(m, SymMatrix):
-        return m.entries
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
@@ -94,51 +104,6 @@ def _check_symmetric_stack(draws: np.ndarray) -> None:
         if not finite[first]:
             raise ValueError("matrix has non-finite entries")
         raise ValueError("matrix is not symmetric")
-
-
-class SymMatrix:
-    """Immutable dense real symmetric matrix.
-
-    Storage enforces exact symmetry: entries are (a + a.T)/2 of the input
-    and the backing array is write-locked.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: np.ndarray | Sequence) -> None:
-        a = sym_entries(entries)
-        a.setflags(write=False)
-        object.__setattr__(self, "_entries", a)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def dim(self) -> int:
-        return self._entries.shape[0]
-
-    @classmethod
-    def identity(cls, d: int) -> "SymMatrix":
-        return cls(np.eye(d))
-
-    @classmethod
-    def diagonal(cls, diag: Sequence[float]) -> "SymMatrix":
-        return cls(np.diag(np.asarray(diag, dtype=float)))
-
-    def __array__(self, dtype=None) -> np.ndarray:
-        return np.asarray(self._entries, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return f"SymMatrix({self._entries.tolist()!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        return self.dim == other.dim and bool(np.array_equal(self._entries, other._entries))
-
-    def __hash__(self) -> int:
-        return hash(self._entries.tobytes())
 
 
 class ConeTag(enum.Enum):
@@ -220,37 +185,20 @@ def rank_psd(m, tol: float | None = None) -> int:
     return c.rank
 
 
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed orthogonal matrix of order d.
-
-    The orthonormal factor of a standard normal matrix, taken with a
-    positive R diagonal; see :func:`haar_orthogonal_batch`.
-    """
-    return haar_orthogonal_batch(d, 1, rng)[0]
-
-
-def haar_orthogonal_batch(d: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of *size* independent Haar orthogonal matrices, shape (size, d, d).
-
-    Each matrix is the Q of the QR factorization, with positive R diagonal,
-    of a standard normal matrix, which is exactly Haar on O(d) (Mezzadri,
-    Notices AMS 54, 2007).  Q is formed by Gram-Schmidt on the columns of
-    the draw ``rng.standard_normal((size, d, d))``, vectorized over the
-    batch, so a seeded generator gives the same matrices as LAPACK QR with
-    the sign correction, up to roundoff.
-    """
-    return np.ascontiguousarray(_haar_columns(d, size, rng).transpose(2, 1, 0))
-
-
 def _haar_columns(d: int, size: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:
-    """Haar draws of :func:`haar_orthogonal_batch`, entries first.
+    """*size* independent Haar orthogonal matrices of order d, entries first.
 
-    Returns q of shape (d, d, size) with q[j, i, n] = u_n[i, j]: q[j] holds
-    column j of every draw, so each Gram-Schmidt step is one array
-    operation over the batch.  Every column is orthogonalized twice against
-    the earlier ones (classical Gram-Schmidt with reorthogonalization),
-    which keeps Q orthogonal to roundoff.  A draw whose residual norm is
-    zero or not finite, an event of probability 0, is redone by LAPACK QR.
+    Each matrix u_n is the Q of the QR factorization, with positive R
+    diagonal, of the standard normal matrix n of the draw
+    ``rng.standard_normal((size, d, d))``, which is exactly Haar on O(d)
+    (Mezzadri, Notices AMS 54, 2007).  Returns q of shape (d, d, size)
+    with q[j, i, n] = u_n[i, j]: q[j] holds column j of every draw, so each
+    Gram-Schmidt step is one array operation over the batch, and the result
+    equals LAPACK QR with the sign correction up to roundoff.  Every column
+    is orthogonalized twice against the earlier ones (classical
+    Gram-Schmidt with reorthogonalization), which keeps Q orthogonal to
+    roundoff.  A draw whose residual norm is zero or not finite, an event
+    of probability 0, is redone by LAPACK QR.
 
     With *cols*, only the leading cols columns are formed, shape
     (cols, d, size).  The normals drawn are the same, so the rng stream
@@ -302,14 +250,6 @@ def phi2(p: ConePoint2 | Sequence[float]) -> np.ndarray:
     return np.array([[x + y, z], [z, x - y]], dtype=float)
 
 
-def phi2_inverse(m) -> ConePoint2:
-    """Inverse of :func:`phi2`."""
-    a = sym_entries(m)
-    if a.shape[0] != 2:
-        raise ValueError("phi2_inverse needs a 2x2 matrix")
-    return ConePoint2(x=(a[0, 0] + a[1, 1]) / 2.0, y=(a[0, 0] - a[1, 1]) / 2.0, z=a[0, 1])
-
-
 def lebesgue_coords(m) -> np.ndarray:
     """Isometric coordinates of a symmetric matrix.
 
@@ -336,21 +276,3 @@ def coords_to_matrix(v: Sequence[float], d: int) -> np.ndarray:
     a[(iu[1], iu[0])] = a[iu]
     return a
 
-
-def gram(cols: Iterable[Sequence[float]]) -> np.ndarray:
-    """Gram matrix G[j][k] = <c_j, c_k> of a nonempty list of vectors.
-
-    The result is positive semidefinite with rank <= the common vector
-    length r, however many vectors are supplied.
-    """
-    vecs = [np.asarray(c, dtype=float) for c in cols]
-    if not vecs:
-        raise ValueError("gram needs at least one vector")
-    r = vecs[0].shape
-    if len(r) != 1 or r[0] < 1:
-        raise ValueError("gram vectors must be 1-D and nonempty")
-    if any(v.shape != r for v in vecs):
-        raise ValueError("gram vectors must all have the same length")
-    v = np.stack(vecs, axis=1)  # r x m, columns are the vectors
-    g = v.T @ v
-    return (g + g.T) / 2.0

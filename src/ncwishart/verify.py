@@ -29,7 +29,6 @@ import numpy.random  # noqa: F401  numpy loads np.random on first use; load it h
 
 from .measures import (
     _LOG_DOUBLE_MAX,
-    DomainError,
     MeasureSpec,
     NcwParams,
     _fd_kappas,
@@ -54,7 +53,7 @@ from .samplers import (
     subspace_intersection_experiment,
     weighted_laplace_estimate,
 )
-from .symcore import _count, haar_orthogonal
+from .symcore import DomainError, _count, _haar_columns
 from .zonal import (
     _weighted_layers,
     c_kappa_identity,
@@ -133,7 +132,7 @@ def _gated(
 
 def _spd(rng: np.random.Generator, d: int, lo: float, hi: float) -> np.ndarray:
     eigs = rng.uniform(lo, hi, size=d)
-    u = haar_orthogonal(d, rng)
+    u = _haar_columns(d, 1, rng)[:, :, 0].T
     return u @ np.diag(eigs) @ u.T
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .symcore import SymMatrix, _count, _haar_columns, sym_entries
+from .symcore import DomainError, _count, _haar_columns, sym_entries
 
 __all__ = [
     "Partition",
@@ -235,8 +235,6 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
 
 
 def _eigenvalues_of(x) -> np.ndarray:
-    if isinstance(x, SymMatrix):
-        return np.linalg.eigvalsh(x.entries)
     a = np.asarray(x, dtype=float)
     if a.ndim >= 2:
         return np.linalg.eigvalsh(sym_entries(a))
@@ -342,13 +340,15 @@ def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
 
     x is a symmetric matrix or its eigenvalue vector of length d.  The
     values come from :func:`_layer_values`, keyed by kappa in table order.
-    A layer that leaves the double range raises ValueError.
+    A layer that leaves the double range raises DomainError, without a
+    numpy warning.
     """
     eigs = _eigenvalues_of(x)
     kappas = _layer_data(weight, eigs.size)[0]
-    _, values = _layer_values(eigs, weight)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, values = _layer_values(eigs, weight)
     if not np.isfinite(values).all():
-        raise ValueError(f"the zonal layer of weight {weight} leaves the double range")
+        raise DomainError(f"the zonal layer of weight {weight} leaves the double range")
     return dict(zip(kappas, values.tolist()))
 
 
@@ -427,8 +427,9 @@ def multivariate_gamma(z, d: int, kappa: Partition | Iterable[int] | None = None
 
     with kappa padded by zeros.  Every gamma argument must be positive;
     arguments at or below zero raise ValueError since the cone integrals
-    this normalizes diverge there.  A z that is not finite, and a value or
-    logarithm beyond the double range, raise ValueError as well.
+    this normalizes diverge there.  A z that is not finite raises
+    ValueError as well; a value or logarithm beyond the double range
+    raises DomainError.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -446,13 +447,13 @@ def multivariate_gamma(z, d: int, kappa: Partition | Iterable[int] | None = None
         except OverflowError:
             logval = math.inf
     if not math.isfinite(logval):
-        raise ValueError(f"log Gamma_d leaves the double range at z={z}")
+        raise DomainError(f"log Gamma_d leaves the double range at z={z}")
     if log:
         return logval
     try:
         return math.exp(logval)
     except OverflowError:
-        raise ValueError(
+        raise DomainError(
             f"Gamma_d exceeds the double range at z={z}: its log is {logval:.6g}; use log=True"
         ) from None
 
@@ -500,13 +501,14 @@ def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
     over its partitions rather than collapsing through the power-sum
     identity, and the value exercises the coefficient matrices of
     :func:`zonal_layer`.  A sum that leaves the double range raises
-    ValueError.
+    DomainError, without a numpy warning.
     """
     weight_cutoff = _count(weight_cutoff, "weight_cutoff", 0)
     layers = _weighted_layers(_eigenvalues_of(x), lambda parts: np.ones(len(parts)))
-    total = sum(itertools.islice(layers, weight_cutoff + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(itertools.islice(layers, weight_cutoff + 1))
     if not math.isfinite(total):
-        raise ValueError(f"the partial sum through weight {weight_cutoff} leaves the double range")
+        raise DomainError(f"the partial sum through weight {weight_cutoff} leaves the double range")
     return total
 
 
@@ -550,7 +552,7 @@ def _delta_minors_general(a: np.ndarray, exps: np.ndarray) -> float:
     try:
         return sign_total * math.exp(log_total)
     except OverflowError:
-        raise ValueError(f"Delta_kappa leaves the double range: its log is {log_total:.6g}") from None
+        raise DomainError(f"Delta_kappa leaves the double range: its log is {log_total:.6g}") from None
 
 
 def delta_kappa(x, kappa: Partition | Iterable[int] | Sequence[float]) -> float:
@@ -560,7 +562,8 @@ def delta_kappa(x, kappa: Partition | Iterable[int] | Sequence[float]) -> float:
     zeros to the dimension of x.  Real (including negative) exponents are
     allowed; positive definite x goes through the Cholesky pivots in log
     scale, anything else falls back to explicit minors and requires each
-    minor raised to a non-integer power to be positive.
+    minor raised to a non-integer power to be positive.  A value past the
+    double range raises DomainError.
     """
     a = sym_entries(x)
     exps = _minor_exponents(kappa, a.shape[0])
@@ -577,7 +580,7 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
     log minors are the running sums of the log pivots, formed row by row:
     the additions of ``np.cumsum(axis=0)`` in the same order, without its
     strided walk down the short axis.  A value that leaves the double
-    range raises ValueError.
+    range raises DomainError.
     """
     d, n = ys.shape[0], ys.shape[2]
     chol = np.zeros_like(ys)
@@ -596,7 +599,7 @@ def _delta_batch(ys: np.ndarray, exps: np.ndarray) -> np.ndarray:
     for b in np.flatnonzero(~np.all(pivots > 0.0, axis=0)):
         out[b] = _delta_minors_general(ys[:, :, b], exps)
     if not np.isfinite(out).all():
-        raise ValueError("Delta_kappa leaves the double range")
+        raise DomainError("Delta_kappa leaves the double range")
     return out
 
 
@@ -690,10 +693,8 @@ def phi_kappa_mc(
 ) -> McEstimate:
     """Haar average Phi_kappa(x) = E[Delta_kappa(u x u^T)], u Haar on O(d).
 
-    Plain Monte Carlo over Haar rotations formed by
-    :func:`~ncwishart.symcore._haar_columns` from the same normals as
-    :func:`~ncwishart.symcore.haar_orthogonal_batch`, entries first, in
-    batches of ``_MC_BATCH`` draws (:func:`_haar_conjugates`).  Returns the
+    Plain Monte Carlo over Haar rotations formed entries first by
+    :func:`~ncwishart.symcore._haar_columns`, in batches of ``_MC_BATCH`` draws (:func:`_haar_conjugates`).  Returns the
     sample mean with its standard error.
     """
     n_samples = _count(n_samples, "n_samples", 2)

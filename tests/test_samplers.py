@@ -24,7 +24,7 @@ from ncwishart import (
     zonal_lemma_checks,
 )
 from ncwishart.samplers import _order_statistics
-from ncwishart.symcore import haar_orthogonal_batch
+from ncwishart.symcore import _haar_columns
 from ncwishart.verify import RunConfig, check_rank_support
 
 N_MC = 30_000
@@ -297,7 +297,7 @@ def test_singular_r_sample_matches_full_haar_push_forward(d):
     # the same stream through the full Haar matrices and the zero-padded x
     gen = np.random.default_rng([d, 21])
     inner = m_measure_sample(MeasureSpec(float(d - 1), d - 1, d - 1), n_draws, gen)
-    u = haar_orthogonal_batch(d, n_draws, gen)
+    u = _haar_columns(d, n_draws, gen).transpose(2, 1, 0)
     embedded = np.zeros((n_draws, d, d))
     embedded[:, : d - 1, : d - 1] = inner.draws
     ref = u @ embedded @ np.swapaxes(u, 1, 2)

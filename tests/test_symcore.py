@@ -9,43 +9,34 @@ from ncwishart import (
     ConePoint2,
     ConeTag,
     NcwParams,
-    SymMatrix,
     cone_classify,
     coords_to_matrix,
-    gram,
-    haar_orthogonal,
-    haar_orthogonal_batch,
     lebesgue_coords,
     phi2,
-    phi2_inverse,
     rank_psd,
 )
-from ncwishart.symcore import _haar_columns
+from ncwishart.symcore import _haar_columns, sym_entries
 
 finite_reals = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
 
-def test_symmatrix_enforces_symmetry_and_is_immutable():
-    m = SymMatrix([[1.0, 2.0], [2.0, 3.0]])
-    assert m.dim == 2
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0
-    assert SymMatrix.identity(3) == SymMatrix(np.eye(3))
-    assert hash(SymMatrix.diagonal([1, 2])) == hash(SymMatrix(np.diag([1.0, 2.0])))
+def _haar_batch(d, size, rng):
+    """The draws of _haar_columns as a (size, d, d) view, u_n = batch[n]."""
+    return _haar_columns(d, size, rng).transpose(2, 1, 0)
 
 
 def test_symmatrix_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SymMatrix(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        SymMatrix([[1.0, 2.0], [0.0, 1.0]])  # asymmetric beyond tolerance
-    with pytest.raises(ValueError):
-        SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="must be square"):
+        sym_entries(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_entries([[1.0, 2.0], [0.0, 1.0]])  # asymmetric beyond tolerance
+    with pytest.raises(ValueError, match="non-finite"):
+        sym_entries([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def test_empty_matrix_raises_its_own_value_error():
     with pytest.raises(ValueError, match="matrix must be at least 1 x 1"):
-        SymMatrix(np.zeros((0, 0)))
+        sym_entries(np.zeros((0, 0)))
     with pytest.raises(ValueError, match="w must be at least 1 x 1"):
         NcwParams(1.0, np.zeros((0, 0)))
 
@@ -103,18 +94,15 @@ def test_coords_to_matrix_rejects_wrong_length():
 @given(x=finite_reals, y=finite_reals, z=finite_reals)
 def test_phi2_roundtrip_det_and_pairing(x, y, z):
     m = phi2((x, y, z))
-    p = phi2_inverse(m)
-    assert (p.x, p.y, p.z) == pytest.approx((x, y, z), abs=1e-12)
+    assert np.array_equal(m, m.T)
+    # the inverse of phi2: x = (m11 + m22)/2, y = (m11 - m22)/2, z = m12
+    back = ((m[0, 0] + m[1, 1]) / 2.0, (m[0, 0] - m[1, 1]) / 2.0, m[0, 1])
+    assert back == pytest.approx((x, y, z), abs=1e-12)
     assert float(np.linalg.det(m)) == pytest.approx(x * x - y * y - z * z, abs=1e-8)
     # trace pairing: tr(phi2(a) phi2(p)) = 2 <a, p>
     a, b, c = 0.7, -0.3, 1.1
     lhs = float(np.trace(phi2((a, b, c)) @ m))
     assert lhs == pytest.approx(2 * (a * x + b * y + c * z), abs=1e-9)
-
-
-def test_phi2_inverse_needs_2x2():
-    with pytest.raises(ValueError):
-        phi2_inverse(np.eye(3))
 
 
 def test_cone_point_membership():
@@ -130,23 +118,23 @@ def test_cone_point_membership():
 
 def test_haar_orthogonal_is_orthogonal(rng):
     for d in (1, 2, 5):
-        u = haar_orthogonal(d, rng)
+        u = _haar_batch(d, 1, rng)[0]
         assert np.allclose(u @ u.T, np.eye(d), atol=1e-12)
         assert abs(float(np.linalg.det(u))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_haar_batch_shape_and_reproducibility():
-    batch = haar_orthogonal_batch(3, 7, np.random.default_rng(5))
+    batch = _haar_batch(3, 7, np.random.default_rng(5))
     assert batch.shape == (7, 3, 3)
-    again = haar_orthogonal_batch(3, 7, np.random.default_rng(5))
+    again = _haar_batch(3, 7, np.random.default_rng(5))
     assert np.array_equal(batch, again)
-    assert haar_orthogonal_batch(3, 0, np.random.default_rng(5)).shape == (0, 3, 3)
+    assert _haar_batch(3, 0, np.random.default_rng(5)).shape == (0, 3, 3)
 
 
 def test_haar_first_moment_vanishes(rng):
     # E[u] = 0 on O(d); a loose 5-sigma band on the entry means
     n = 4000
-    batch = haar_orthogonal_batch(3, n, rng)
+    batch = _haar_batch(3, n, rng)
     means = batch.mean(axis=0)
     assert float(np.max(np.abs(means))) < 5.0 / math.sqrt(3 * n)
 
@@ -162,16 +150,17 @@ def _qr_with_sign_fix(g):
 @pytest.mark.parametrize("size", [0, 1, 2000])
 def test_haar_batch_equals_qr_with_sign_fix_on_same_normals(d, size):
     g = np.random.default_rng(11).standard_normal((size, d, d))
-    batch = haar_orthogonal_batch(d, size, np.random.default_rng(11))
-    assert batch.shape == (size, d, d)
-    assert batch.flags.c_contiguous
+    columns = _haar_columns(d, size, np.random.default_rng(11))
+    assert columns.shape == (d, d, size)
+    assert columns.flags.c_contiguous
+    batch = columns.transpose(2, 1, 0)
     if size:
         assert float(np.max(np.abs(batch - _qr_with_sign_fix(g)))) <= 1e-12
 
 
 def test_haar_batch_orthogonal_to_roundoff():
     for d in (2, 3, 5):
-        u = haar_orthogonal_batch(d, 100_000, np.random.default_rng(d))
+        u = _haar_batch(d, 100_000, np.random.default_rng(d))
         gram_err = np.abs(np.einsum("nki,nkj->nij", u, u) - np.eye(d))
         assert float(np.max(gram_err)) <= 1e-14
 
@@ -181,7 +170,7 @@ def test_haar_second_and_fourth_moments(d):
     # E[u_ij^2] = 1/d and E[u_11^4] = 3/(d(d+2)) on O(d), each within
     # four standard errors of the sample mean
     n = 20_000
-    u = haar_orthogonal_batch(d, n, np.random.default_rng(100 + d))
+    u = _haar_batch(d, n, np.random.default_rng(100 + d))
     sq = u**2
     se = sq.std(axis=0, ddof=1) / math.sqrt(n)
     assert np.all(np.abs(sq.mean(axis=0) - 1.0 / d) <= 4.0 * se + 1e-15)
@@ -192,7 +181,7 @@ def test_haar_second_and_fourth_moments(d):
 
 def test_haar_batch_has_both_determinant_signs():
     for d in (1, 2, 3):
-        dets = np.linalg.det(haar_orthogonal_batch(d, 200, np.random.default_rng(7)))
+        dets = np.linalg.det(_haar_batch(d, 200, np.random.default_rng(7)))
         assert np.allclose(np.abs(dets), 1.0, atol=1e-12)
         assert np.any(dets > 0) and np.any(dets < 0)
 
@@ -213,7 +202,7 @@ def test_haar_batch_degenerate_draws_fall_back_to_qr():
     dependent = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])  # column 1 = 2 * column 0
     zero_column = np.array([[0.0, 1.0, 0.3], [0.0, 0.2, 1.0], [0.0, -0.4, 0.7]])
     draws = np.stack([good[0], dependent, good[1], zero_column])
-    batch = haar_orthogonal_batch(3, 4, _StubGenerator(draws))
+    batch = _haar_batch(3, 4, _StubGenerator(draws))
     assert np.all(np.isfinite(batch))
     assert np.allclose(np.einsum("nki,nkj->nij", batch, batch), np.eye(3), atol=1e-14)
     assert np.allclose(batch, _qr_with_sign_fix(draws), atol=1e-12)
@@ -243,16 +232,3 @@ def _after_normals(d, size):
     rng.standard_normal((size, d, d))
     return rng.bit_generator.state
 
-
-def test_gram_basics():
-    g = gram([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]])
-    assert g.shape == (2, 2)
-    assert np.array_equal(g, g.T)
-    assert np.all(np.linalg.eigvalsh(g) >= -1e-12)
-    # five vectors of length two: Gram is 5x5 with rank at most 2
-    vs = [[1.0, float(i)] for i in range(5)]
-    assert rank_psd(gram(vs)) <= 2
-    with pytest.raises(ValueError):
-        gram([])
-    with pytest.raises(ValueError):
-        gram([[1.0, 2.0], [1.0]])

@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncwishart
+import ncwishart.measures as measures
+import ncwishart.symcore as symcore
 import ncwishart.zonal as zonal
 from ncwishart import (
+    DomainError,
     Partition,
+    TruncationError,
     c_kappa_identity,
     delta_kappa,
     exp_trace_partial_sum,
@@ -448,8 +453,8 @@ def test_multivariate_gamma_recurrence_and_shift():
         multivariate_gamma(0.5, 3)  # third gamma argument hits zero
 
 
-def test_multivariate_gamma_raises_value_error_out_of_range():
-    with pytest.raises(ValueError, match="log=True"):
+def test_multivariate_gamma_raises_typed_errors_out_of_range():
+    with pytest.raises(DomainError, match="log=True"):
         multivariate_gamma(200.0, 3)
     assert math.isfinite(multivariate_gamma(200.0, 3, log=True))
     for z in (math.nan, math.inf, -math.inf):
@@ -458,7 +463,7 @@ def test_multivariate_gamma_raises_value_error_out_of_range():
         with pytest.raises(ValueError, match="finite"):
             multivariate_gamma(z, 3, log=True)
     # the log itself leaves the double range
-    with pytest.raises(ValueError, match="double range"):
+    with pytest.raises(DomainError, match="double range"):
         multivariate_gamma(1e306, 2, log=True)
 
 
@@ -478,9 +483,8 @@ def test_eigenvalue_inputs_reject_non_finite_entries(call):
     call([0.5, 1.0])  # finite input passes
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_values_past_double_range_raise_value_error(rng):
+@pytest.mark.filterwarnings("error")
+def test_values_past_double_range_raise_domain_error(rng):
     huge = np.diag([1e200, 1.0])
     calls = [
         lambda: exp_trace_partial_sum(np.diag([1e160, 1.0]), 2),
@@ -491,8 +495,47 @@ def test_values_past_double_range_raise_value_error(rng):
         lambda: phi_kappa_mc(huge, (3,), 10, rng),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="double range"):
+        with pytest.raises(DomainError, match="double range"):
             call()
+
+
+def test_error_classes_have_one_home():
+    with pytest.raises(DomainError) as raised:
+        zonal_layer([1e200, 1.0], 2)
+    assert raised.type is ncwishart.DomainError is measures.DomainError is symcore.DomainError
+    assert issubclass(DomainError, ValueError)
+    assert ncwishart.TruncationError is measures.TruncationError is symcore.TruncationError
+    assert issubclass(TruncationError, RuntimeError)
+
+
+_hostile_eigenvalues = st.lists(
+    st.builds(
+        lambda sign, exponent: sign * 10.0**exponent,
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(min_value=-300.0, max_value=300.0),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200)
+@given(eigs=_hostile_eigenvalues, weight=st.integers(min_value=0, max_value=6), data=st.data())
+def test_hostile_eigenvalues_give_finite_values_or_domain_error(eigs, weight, data):
+    """Signed eigenvalues of magnitude 1e-300 to 1e300: finite or DomainError, never a warning."""
+    kappa = data.draw(st.sampled_from(partitions_of_weight(weight, len(eigs))))
+    calls = [
+        lambda: list(zonal_layer(eigs, weight).values()),
+        lambda: [zonal_C(eigs, kappa)],
+        lambda: [exp_trace_partial_sum(eigs, weight)],
+    ]
+    for call in calls:
+        try:
+            values = call()
+        except DomainError:
+            continue
+        assert all(math.isfinite(v) for v in values)
 
 
 def test_delta_kappa_minors(rng):
