@@ -83,7 +83,9 @@ _SERIES_MAX_WEIGHT = 64
 def _sum_weight_layers(layers: Iterable[float]) -> float:
     """Sum the weight layers w = 0, 1, 2, ... of a series under the stop rule.
 
-    A layer that is not finite raises DomainError.  Leading layers can
+    A layer that is not finite raises DomainError, without a numpy
+    warning: the layers are drawn under one ``np.errstate``, so a layer
+    generator that overflows inside numpy stays silent.  Leading layers can
     vanish identically (gamma poles), so the count of small layers starts
     once the total is nonzero.  No layer past _SERIES_MAX_WEIGHT is drawn.
     A total still exactly 0 there means every layer underflowed, which
@@ -92,19 +94,20 @@ def _sum_weight_layers(layers: Iterable[float]) -> float:
     total = 0.0
     small_run = 0
     last_rel = math.inf
-    for w, value in zip(range(_SERIES_MAX_WEIGHT + 1), layers):
-        if not math.isfinite(value):
-            raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
-        total += value
-        if total == 0.0:
-            continue
-        last_rel = abs(value) / abs(total)
-        if last_rel <= _SERIES_REL_TOL:
-            small_run += 1
-            if small_run >= _SERIES_SMALL_LAYERS:
-                return total
-        else:
-            small_run = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, value in zip(range(_SERIES_MAX_WEIGHT + 1), layers):
+            if not math.isfinite(value):
+                raise DomainError(f"zonal series layer of weight {w} is not finite ({value})")
+            total += value
+            if total == 0.0:
+                continue
+            last_rel = abs(value) / abs(total)
+            if last_rel <= _SERIES_REL_TOL:
+                small_run += 1
+                if small_run >= _SERIES_SMALL_LAYERS:
+                    return total
+            else:
+                small_run = 0
     if total == 0.0:
         raise DomainError(
             f"every zonal series layer through weight {_SERIES_MAX_WEIGHT} underflows to 0: "

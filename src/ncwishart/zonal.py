@@ -9,8 +9,10 @@ In the monomial basis, C_kappa = n_kappa (m_kappa + lower terms in the
 dominance order); the lower coefficients follow the pipe recurrence of the
 generating differential operator and n_kappa has a closed hook-product
 form.  Evaluation builds the float64 coefficient matrix of one weight
-layer directly, one column for all kappa at a time, and multiplies it by
-the monomials of the eigenvalues; this is the only coefficient builder.
+layer directly, and multiplies it by the monomials of the eigenvalues;
+this is the only coefficient builder.  Its transfers, dominance mask, rho
+and hook norms come for the whole table at once, in numpy, and what stays
+sequential is one short step per column, for all kappa at a time.
 The module also computes the closed-form value at the identity, against
 which the verification suite checks that builder, and provides the
 power-product Delta_kappa of leading principal minors together with its
@@ -149,46 +151,62 @@ def partitions_of_weight(weight: int, max_length: int | None = None) -> list[Par
 # Coefficient tables: C_kappa = n_kappa * (m_kappa + sum_{lam < kappa} c_{kappa lam} m_lam)
 
 
-def _rho(parts: Sequence[int]) -> int:
-    # Eigenvalue of the generating differential operator; strictly
-    # increasing along the dominance order, so comparable pairs never tie.
-    return sum(m * (m - i) for i, m in enumerate(parts, start=1))
+def _table_transfers(padded: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every single-pair transfer lam -> mu of one table, with its coefficient.
 
-
-def _transfers(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """Single-pair transfers lam -> mu with their coefficients l_i - l_j + 2t.
-
-    The transfer moves t units from part j up to part i < j; mu is
-    re-sorted with zeros dropped.  Listed in (i, j, t) order.
+    *padded* holds the table's partitions in table order, zero-padded to a
+    common width.  A transfer moves t = 1..l_j units from part j up to part
+    i < j and has coefficient l_i - l_j + 2t; mu is lam re-sorted, and its
+    row in the table comes from one radix key per sorted mu, base
+    weight + 1 as in :func:`_group_compositions` (whose bound on the keys
+    covers these), and one ``searchsorted`` for the whole table.  The
+    transfers of lam occupy ``bounds[lam]:bounds[lam + 1]`` of the
+    returned row indices and float coefficients, in (i, j, t) order, with
+    transfers that land on the same mu each listed.
     """
-    out = []
-    n = len(lam)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lj = lam[j]
-            for t in range(1, lj + 1):
-                mu = list(lam)
-                mu[i] += t
-                mu[j] -= t
-                out.append((tuple(sorted((m for m in mu if m > 0), reverse=True)), lam[i] - lj + 2 * t))
-    return out
+    n, width = padded.shape
+    pair_i, pair_j = np.triu_indices(width, 1)
+    per_pair = padded[:, pair_j]  # transfers per (lam, pair)
+    counts = per_pair.ravel()
+    block = np.repeat(np.arange(counts.size), counts)
+    lam, pair = np.divmod(block, pair_i.size)
+    at = np.arange(block.size)
+    t = at - np.repeat(np.cumsum(counts) - counts, counts) + 1
+    i, j = pair_i[pair], pair_j[pair]
+    mu = padded[lam]
+    coefs = (mu[at, i] - mu[at, j] + 2 * t).astype(float)
+    mu[at, i] += t
+    mu[at, j] -= t
+    mu.sort(axis=1)
+    radix = (weight + 1) ** np.arange(width, dtype=np.int64)
+    # table keys descend in table order; an ascending row times the
+    # ascending radix is the key of the descending row
+    keys = padded[:, ::-1] @ radix
+    mu_idx = n - 1 - np.searchsorted(keys[::-1], mu @ radix)
+    bounds = np.concatenate(([0], np.cumsum(per_pair.sum(axis=1)))).tolist()
+    return mu_idx, coefs, bounds
 
 
-def _hook_norm(kappa: Sequence[int]) -> Fraction:
-    """Leading coefficient n_kappa of C_kappa in the monomial basis.
+def _hook_norms(padded: np.ndarray, weight: int) -> np.ndarray:
+    """Leading coefficients n_kappa of C_kappa in the monomial basis, as floats.
 
     C_kappa = 2^k k! / c'_kappa(2) * P_kappa with P_kappa the monic Jack
     polynomial at alpha = 2 (Macdonald, Symmetric Functions and Hall
     Polynomials, VI.10), so n_kappa = 2^k k! / prod over the cells s of
-    kappa of (2 a(s) + l(s) + 2), with arm a(s) and leg l(s).
+    kappa of (2 a(s) + l(s) + 2), with arm a(s) and leg l(s).  The hooks
+    of the whole table come as one array, *weight* cells per kappa; each
+    product is an exact integer, and Python's int / int is correctly
+    rounded, so every norm is the float nearest the exact ratio.
     """
-    conj = [sum(1 for m in kappa if m > j) for j in range(kappa[0])] if kappa else []
-    # cell (i, j) has arm m - j - 1 and leg conj[j] - i - 1
-    hooks = math.prod(
-        2 * (m - j - 1) + (conj[j] - i - 1) + 2 for i, m in enumerate(kappa) for j in range(m)
-    )
-    k = sum(kappa)
-    return Fraction(2**k * math.factorial(k), hooks)
+    n, width = padded.shape
+    col = np.arange(weight)
+    # cell (i, j) has arm m_i - j - 1 and leg conj_j - i - 1
+    arm = padded[:, :, None] - col - 1
+    conj = np.count_nonzero(padded[:, :, None] > col, axis=1)
+    leg = conj[:, None, :] - np.arange(width)[:, None] - 1
+    hooks = (2 * arm + leg + 2)[arm >= 0].reshape(n, weight)
+    top = 2**weight * math.factorial(weight)
+    return np.array([top / math.prod(row) for row in hooks.tolist()])
 
 
 def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray]:
@@ -202,31 +220,37 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
         c_{kappa lam} = [sum over single-pair transfers lam -> mu of
                          (l_i - l_j + 2t) * c_{kappa mu}] / (rho_kappa - rho_lam),
 
-    with the transfers of :func:`_transfers`; distinct transfers landing on
-    the same mu contribute once each.  The columns are filled in order, one
-    column for all kappa at once: the rows that strictly dominate lam come
-    from one comparison of cumulative sums, and every mu a transfer reaches
-    precedes lam.  Each row is then scaled by :func:`_hook_norm`.  The
-    recurrence has positive terms only, so the float entries are forward
-    stable.
+    with rho_kappa = sum_i m_i (m_i - i), which is strictly increasing
+    along dominance, and with the transfers of :func:`_table_transfers`;
+    distinct transfers landing on the same mu contribute once each.  Each
+    row is then scaled by its hook norm (:func:`_hook_norms`).
+
+    Everything but the recurrence itself is built for the whole table at
+    once: the transfers, rho, the hook norms, and an n x n dominance mask
+    from one comparison of cumulative sums per part position.  The columns
+    are then filled in order, every mu a transfer reaches preceding lam:
+    each takes the earlier rows of its mask row, which are the rows that
+    strictly dominate lam, and costs one gather, one matrix-vector product
+    and one division.  Folding several columns into one product would
+    change the rounding.  The recurrence has positive terms only, so the
+    float entries are forward stable.
     """
-    parts = partitions_of_weight(weight, max_length)
-    kappas = [p.parts for p in parts]
+    kappas = list(_gen_parts(weight, weight, min(max_length, weight)))
     n = len(kappas)
     width = max(1, max(map(len, kappas)))
-    cum = np.cumsum([p.padded(width) for p in parts], axis=1)
-    rho = np.array([_rho(k) for k in kappas], dtype=float)
-    index = {k: i for i, k in enumerate(kappas)}
+    padded = np.array([k + (0,) * (width - len(k)) for k in kappas], dtype=np.int64)
+    cum = np.cumsum(padded, axis=1)
+    dominated = np.ones((n, n), dtype=bool)  # [lam, kappa]: kappa dominates lam
+    for c in range(width):
+        dominated &= cum[None, :, c] >= cum[:, c, None]
+    rho = (padded * (padded - np.arange(1, width + 1))).sum(axis=1).astype(float)
+    mu_idx, coefs, bounds = _table_transfers(padded, weight)
     coeff = np.eye(n)
     for li in range(1, n):
-        rows = np.flatnonzero(np.all(cum[:li] >= cum[li], axis=1))
-        if rows.size == 0:
-            continue
-        transfers = _transfers(kappas[li])
-        mu_idx = [index[mu] for mu, _ in transfers]
-        weights = np.array([c for _, c in transfers], dtype=float)
-        coeff[rows, li] = (coeff[np.ix_(rows, mu_idx)] @ weights) / (rho[rows] - rho[li])
-    coeff *= np.array([float(_hook_norm(k)) for k in kappas])[:, None]
+        rows = np.flatnonzero(dominated[li, :li])
+        t = slice(bounds[li], bounds[li + 1])
+        coeff[rows, li] = (coeff[rows[:, None], mu_idx[t]] @ coefs[t]) / (rho[rows] - rho[li])
+    coeff *= _hook_norms(padded, weight)[:, None]
     return kappas, coeff
 
 
@@ -255,19 +279,19 @@ def _compositions(weight: int, d: int) -> np.ndarray:
     return np.diff(bars, axis=1, prepend=-1, append=weight + d - 1) - 1
 
 
-def _group_compositions(comps: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct descending-sorted rows of *comps*, and each row's index among them.
+def _group_compositions(comps: np.ndarray, weight: int) -> np.ndarray:
+    """For each row of *comps*, the index of its descending sort among the distinct ones.
 
     Each sorted row is read as a number in base weight + 1, most
     significant part first, so the keys sort exactly as the rows do
-    lexicographically: the result equals ``np.unique`` of the sorted rows
-    with ``axis=0``.  (weight + 1)^d stays below 2^63 wherever the
-    compositions fit in memory.
+    lexicographically: the result equals the inverse of ``np.unique`` of
+    the sorted rows with ``axis=0``, which lists the partitions in the
+    reverse of the table order.  (weight + 1)^d stays below 2^63 wherever
+    the compositions fit in memory.
     """
     desc = -np.sort(-comps, axis=1)
     radix = (weight + 1) ** np.arange(comps.shape[1] - 1, -1, -1, dtype=np.int64)
-    _, first, inverse = np.unique(desc @ radix, return_index=True, return_inverse=True)
-    return desc[first], inverse
+    return np.unique(desc @ radix, return_inverse=True)[1]
 
 
 _LAYERS: dict[tuple[int, int], tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -280,11 +304,12 @@ def _layer_data(
 
     Returns the kappas in table order, their parts padded with zeros to
     length d (a kappa x d integer array), the float64 coefficient matrix
-    (kappa x lam), the compositions of *weight* into d slots as flat
-    indices a_i + (weight + 1) i into the raveled d x (weight + 1) table of
-    eigenvalue powers (one column per composition; ``uint16`` whenever it
-    fits), and for each composition the column index of the partition it
-    sorts to.  m_lam(x) is the sum of prod_i x_i^a_i over the compositions
+    (kappa x lam, column-major, with the lam columns in the reverse of the
+    table order, which is the order of ``np.unique``), the compositions of
+    *weight* into d slots as flat indices a_i + (weight + 1) i into the
+    raveled d x (weight + 1) table of eigenvalue powers (one column per
+    composition; ``uint16`` whenever it fits), and for each composition the
+    column index of the partition it sorts to.  m_lam(x) is the sum of prod_i x_i^a_i over the compositions
     a that sort to lam.
     """
     key = (weight, d)
@@ -294,10 +319,10 @@ def _layer_data(
     kappas, coeff = _coeff_matrix(weight, min(d, weight))
     parts = np.array([k + (0,) * (d - len(k)) for k in kappas], dtype=np.intp)
     comps = _compositions(weight, d)
-    lams, lam_index = _group_compositions(comps, weight)
-    lam_keys = [tuple(int(a) for a in row if a) for row in lams]
-    index = {k: i for i, k in enumerate(kappas)}
-    coeff = coeff[:, [index[lam] for lam in lam_keys]]
+    lam_index = _group_compositions(comps, weight)
+    # column-major: the memory order picks the BLAS kernel of the products
+    # with the monomials, and so their rounding
+    coeff = coeff[:, ::-1].copy(order="F")
     stride = weight + 1
     flat = comps.T + stride * np.arange(d)[:, None]
     flat = flat.astype(np.uint16 if stride * d <= 2**16 else np.intp)
@@ -399,7 +424,9 @@ def c_kappa_identity(kappa: Partition | Iterable[int], d: int) -> Fraction:
                        * prod_{i<j<=l} (2m_i - 2m_j - i + j)
                        / prod_{i<=l} (2m_i + l - i)!
 
-    Zero when l > d (a factor of (d/2)_kappa vanishes).
+    Zero when l > d (a factor of (d/2)_kappa vanishes).  The numerator is
+    one integer product: (d/2)_kappa is prod over rows i and t < m_i of
+    (d - i + 1 + 2t) / 2, and its k halves cancel against 4^k = 2^k 2^k.
     """
     kap = Partition.of(kappa)
     if d < 1:
@@ -407,17 +434,13 @@ def c_kappa_identity(kappa: Partition | Iterable[int], d: int) -> Fraction:
     if kap.length > d:
         return Fraction(0)
     k = kap.weight
-    if k == 0:
-        return Fraction(1)
     m = kap.parts
     l = len(m)
-    num = Fraction(4) ** k * math.factorial(k)
-    num *= pochhammer_kappa(Fraction(d, 2), kap)
-    for i in range(l):
-        for j in range(i + 1, l):
-            num *= 2 * m[i] - 2 * m[j] - (i + 1) + (j + 1)
+    num = 2**k * math.factorial(k)
+    num *= math.prod(d - i + 2 * t for i, mi in enumerate(m) for t in range(mi))
+    num *= math.prod(2 * m[i] - 2 * m[j] + j - i for i in range(l) for j in range(i + 1, l))
     den = math.prod(math.factorial(2 * m[i] + l - (i + 1)) for i in range(l))
-    return num / den
+    return Fraction(num, den)
 
 
 def multivariate_gamma(z, d: int, kappa: Partition | Iterable[int] | None = None, log: bool = False) -> float:

@@ -463,14 +463,22 @@ def test_layers_past_weight_170_match_exact_division(monkeypatch):
             assert layers[w] == pytest.approx(exact, rel=5e-13, abs=0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_layer_is_a_domain_error():
     # C_kappa(1e6, 1e6) passes double range near weight 50, below the cap of 64
     with pytest.raises(DomainError, match="not finite"):
         lt_fd_series(np.diag([1e-6, 1e-6]), 2)
     with pytest.raises(DomainError, match="not finite"):
         density_m_fullrank(np.diag([1e6, 1e6]), 1.5)
+    # an eigenvalue of 1e200 overflows its powers at weight 2, inside the
+    # layer generator; every series raises without a numpy warning
+    with pytest.raises(DomainError, match="layer of weight 2 is not finite"):
+        density_m_fullrank(np.diag([1e200, 1.0]), 1.5)
+    with pytest.raises(DomainError, match="layer of weight 2 is not finite"):
+        density_fd(np.diag([1e200, 1.0, 1.0]))
+    for fn in (lt_fd_series, singular_r_laplace):
+        with pytest.raises(DomainError, match="layer of weight 2 is not finite"):
+            fn(np.diag([1e-200, 1.0]), 2)
     with pytest.raises(DomainError, match="layer of weight 1 is not finite"):
         _sum_weight_layers(iter([1.0, math.nan]))
 

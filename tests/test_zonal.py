@@ -27,9 +27,85 @@ from ncwishart import (
 )
 from ncwishart.measures import density_fd, density_m_fullrank
 from ncwishart.verify import RunConfig, check_zonal_lemma_mc
-from ncwishart.zonal import _dominated_by, _hook_norm, _rho, _transfers, partitions_of_weight
+from ncwishart.zonal import _dominated_by, partitions_of_weight
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Exact references for the table builder: one partition at a time
+
+
+def _rho(parts) -> int:
+    # Eigenvalue of the generating differential operator; strictly
+    # increasing along the dominance order, so comparable pairs never tie.
+    return sum(m * (m - i) for i, m in enumerate(parts, start=1))
+
+
+def _transfers(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """Single-pair transfers lam -> mu with their coefficients l_i - l_j + 2t.
+
+    The transfer moves t units from part j up to part i < j; mu is
+    re-sorted with zeros dropped.  Listed in (i, j, t) order.
+    """
+    out = []
+    n = len(lam)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lj = lam[j]
+            for t in range(1, lj + 1):
+                mu = list(lam)
+                mu[i] += t
+                mu[j] -= t
+                out.append((tuple(sorted((m for m in mu if m > 0), reverse=True)), lam[i] - lj + 2 * t))
+    return out
+
+
+def _hook_norm(kappa) -> Fraction:
+    """n_kappa = 2^k k! / prod over the cells s of kappa of (2 a(s) + l(s) + 2)."""
+    conj = [sum(1 for m in kappa if m > j) for j in range(kappa[0])] if kappa else []
+    # cell (i, j) has arm m - j - 1 and leg conj[j] - i - 1
+    hooks = math.prod(
+        2 * (m - j - 1) + (conj[j] - i - 1) + 2 for i, m in enumerate(kappa) for j in range(m)
+    )
+    k = sum(kappa)
+    return Fraction(2**k * math.factorial(k), hooks)
+
+
+def _coeff_matrix_loop(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray]:
+    """The table builder one column and one partition at a time.
+
+    The same recurrence, gather, matrix-vector product and division per
+    column as :func:`zonal._coeff_matrix`, with the transfers of
+    :func:`_transfers`, rho of :func:`_rho` and norms of :func:`_hook_norm`
+    made per partition in Python.
+    """
+    parts = partitions_of_weight(weight, max_length)
+    kappas = [p.parts for p in parts]
+    n = len(kappas)
+    width = max(1, max(map(len, kappas)))
+    cum = np.cumsum([p.padded(width) for p in parts], axis=1)
+    rho = np.array([_rho(k) for k in kappas], dtype=float)
+    index = {k: i for i, k in enumerate(kappas)}
+    coeff = np.eye(n)
+    for li in range(1, n):
+        rows = np.flatnonzero(np.all(cum[:li] >= cum[li], axis=1))
+        if rows.size == 0:
+            continue
+        transfers = _transfers(kappas[li])
+        mu_idx = [index[mu] for mu, _ in transfers]
+        weights = np.array([c for _, c in transfers], dtype=float)
+        coeff[rows, li] = (coeff[np.ix_(rows, mu_idx)] @ weights) / (rho[rows] - rho[li])
+    coeff *= np.array([float(_hook_norm(k)) for k in kappas])[:, None]
+    return kappas, coeff
+
+
+def _layer_coeff_remap(weight: int, d: int) -> np.ndarray:
+    """The layer's coefficient columns put in np.unique order through a dict."""
+    kappas, coeff = zonal._coeff_matrix(weight, min(d, weight))
+    lams = np.unique(-np.sort(-zonal._compositions(weight, d), axis=1), axis=0)
+    index = {k: i for i, k in enumerate(kappas)}
+    return coeff[:, [index[tuple(int(a) for a in row if a)] for row in lams]]
 
 
 def _phat_rows(weight: int, max_length: int) -> dict[tuple, dict[tuple, Fraction]]:
@@ -184,8 +260,56 @@ def test_coeff_matrix_unit_rows_match_exact_phat_rows(weight, max_length):
         for kappa, row in _exact_table(weight, max_length).items()
     }
     kappas, coeff = zonal._coeff_matrix(weight, max_length)
-    unit = coeff / np.array([float(zonal._hook_norm(k)) for k in kappas])[:, None]
+    unit = coeff / np.array([float(_hook_norm(k)) for k in kappas])[:, None]
     _assert_rows_close(kappas, unit, ref, rel=1e-14)
+
+
+# the tables of weight <= 40 at length <= 3 and of weight <= 24 at lengths 4 and 5
+_BUILD_CASES = [(w, l) for l in (1, 2, 3) for w in range(41)] + [(w, l) for l in (4, 5) for w in range(25)]
+
+
+def _padded_table(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray]:
+    kappas = [p.parts for p in partitions_of_weight(weight, max_length)]
+    width = max(1, max(map(len, kappas)))
+    return kappas, np.array([k + (0,) * (width - len(k)) for k in kappas], dtype=np.int64)
+
+
+def test_coeff_matrix_equals_column_loop_bit_for_bit():
+    """The table-at-once builder gives the per-partition loop's matrix byte for byte."""
+    for weight, max_length in _BUILD_CASES:
+        kappas, coeff = zonal._coeff_matrix(weight, max_length)
+        ref_kappas, ref = _coeff_matrix_loop(weight, max_length)
+        assert kappas == ref_kappas, (weight, max_length)
+        assert coeff.tobytes() == ref.tobytes(), (weight, max_length)
+
+
+def test_table_transfers_equal_per_partition_transfers():
+    """Same mu, same coefficient, same (i, j, t) order, duplicates kept."""
+    for weight in range(21):
+        for max_length in range(1, 6):
+            kappas, padded = _padded_table(weight, max_length)
+            mu_idx, coefs, bounds = zonal._table_transfers(padded, weight)
+            assert bounds[-1] == mu_idx.size == coefs.size
+            for li, lam in enumerate(kappas):
+                got = list(zip(mu_idx[bounds[li] : bounds[li + 1]].tolist(), coefs[bounds[li] : bounds[li + 1]].tolist()))
+                assert [(kappas[m], c) for m, c in got] == [(mu, float(c)) for mu, c in _transfers(lam)], lam
+
+
+def test_hook_norms_are_the_exact_norms_rounded():
+    for weight, max_length in _BUILD_CASES:
+        kappas, padded = _padded_table(weight, max_length)
+        assert zonal._hook_norms(padded, weight).tolist() == [float(_hook_norm(k)) for k in kappas]
+
+
+def test_layer_data_reverses_the_table_columns(monkeypatch):
+    """The reversed copy equals the dict remap into np.unique order, in value and in layout."""
+    monkeypatch.setattr(zonal, "_LAYERS", {})
+    for d in range(1, 6):
+        for weight in range(30):
+            coeff = zonal._layer_data(weight, d)[2]
+            ref = _layer_coeff_remap(weight, d)
+            assert coeff.strides == ref.strides, (weight, d)
+            assert coeff.tobytes() == ref.tobytes(), (weight, d)
 
 
 def test_hook_norm_equals_sum_rule_back_substitution():
@@ -203,7 +327,7 @@ def test_hook_norm_equals_sum_rule_back_substitution():
                     # the unit-leading coefficient c_{kp lam}
                     acc = acc - n_coeff[kp] * c / rows[kp][kp]
             n_coeff[lam] = acc
-            assert zonal._hook_norm(lam) == acc, lam
+            assert _hook_norm(lam) == acc, lam
 
 
 def test_series_evaluation_builds_no_tables(monkeypatch):
@@ -316,10 +440,12 @@ def test_group_compositions_matches_unique_rows():
         for d in range(1, 6):
             comps = zonal._compositions(weight, d)
             assert (comps.sum(axis=1) == weight).all()
-            lams, lam_index = zonal._group_compositions(comps, weight)
+            lam_index = zonal._group_compositions(comps, weight)
             ref_lams, ref_index = np.unique(-np.sort(-comps, axis=1), axis=0, return_inverse=True)
-            assert np.array_equal(lams, ref_lams), (weight, d)
             assert np.array_equal(lam_index, ref_index.ravel()), (weight, d)
+            # np.unique lists the partitions in the reverse of the table order
+            kappas = [k + (0,) * (d - len(k)) for k in zonal._coeff_matrix(weight, min(d, weight))[0]]
+            assert ref_lams.tolist() == [list(k) for k in reversed(kappas)], (weight, d)
 
 
 def test_layer_values_equal_zonal_layer(rng):
@@ -384,6 +510,26 @@ def test_layer_index_is_uint16_and_small():
     _, parts, _, flat, _ = zonal._layer_data(28, 5)
     assert flat.dtype == np.uint16
     assert flat.nbytes + parts.nbytes < 2**20
+
+
+def _c_kappa_identity_fractions(kappa, d: int) -> Fraction:
+    """C_kappa(I_d) = 2^{2k} k! (d/2)_kappa prod_{i<j} (2m_i - 2m_j - i + j) / prod_i (2m_i + l - i)!, in Fractions."""
+    m = Partition.of(kappa).parts
+    if len(m) > d:
+        return F(0)
+    k, l = sum(m), len(m)
+    num = F(4) ** k * math.factorial(k) * pochhammer_kappa(F(d, 2), m)
+    for i in range(l):
+        for j in range(i + 1, l):
+            num *= 2 * m[i] - 2 * m[j] - (i + 1) + (j + 1)
+    return num / math.prod(math.factorial(2 * m[i] + l - (i + 1)) for i in range(l))
+
+
+def test_c_kappa_identity_integer_form_equals_fraction_product():
+    for d in range(1, 8):
+        for weight in range(21):
+            for kappa in partitions_of_weight(weight, d + 1):
+                assert c_kappa_identity(kappa, d) == _c_kappa_identity_fractions(kappa, d), (kappa.parts, d)
 
 
 def test_identity_values_match_closed_form():
