@@ -12,12 +12,9 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .symcore import (
-    ConeClass,
     ConePoint2,
-    ConeTag,
     DomainError,
     TruncationError,
-    cone_classify,
     lebesgue_coords,
     coords_to_matrix,
     phi2,
@@ -83,12 +80,9 @@ from .verify import RunConfig, SUITES, run_suite
 __all__ = [
     "__version__",
     # symcore
-    "ConeClass",
     "ConePoint2",
-    "ConeTag",
     "DomainError",
     "TruncationError",
-    "cone_classify",
     "lebesgue_coords",
     "coords_to_matrix",
     "phi2",

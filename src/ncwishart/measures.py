@@ -38,7 +38,7 @@ from .symcore import (
     DomainError,
     TruncationError,
     _count,
-    default_rank_tol,
+    _psd_eigh,
     rank_psd,
     sym_entries,
 )
@@ -242,7 +242,8 @@ class MeasureSpec:
 class NcwParams:
     """Non-central Wishart parameters (shape n, non-centrality w, scale sigma).
 
-    w must be positive semidefinite and sigma positive definite; sigma
+    w must be positive semidefinite and sigma positive definite, by the
+    closed-cone rule of ``symcore._psd_eigh`` (DomainError otherwise); sigma
     defaults to the identity.  The mean of the law is n*sigma + 2*w.
     """
 
@@ -253,17 +254,13 @@ class NcwParams:
     def __post_init__(self) -> None:
         if not 0.0 < float(self.shape) < math.inf:
             raise ValueError(f"shape must be positive and finite, got {self.shape}")
-        w = sym_entries(self.w, "w")
+        w = _psd_eigh(self.w, "w")[0]
         d = w.shape[0]
-        sigma = np.eye(d) if self.sigma is None else sym_entries(self.sigma, "sigma")
+        sigma, _, _, sigma_rank = _psd_eigh(np.eye(d) if self.sigma is None else self.sigma, "sigma")
         if sigma.shape[0] != d:
             raise ValueError("w and sigma dimensions differ")
-        w_eigs = np.linalg.eigvalsh(w)
-        if w_eigs[0] < -default_rank_tol(w_eigs, d):
-            raise ValueError("w must be positive semidefinite")
-        sigma_eigs = np.linalg.eigvalsh(sigma)
-        if sigma_eigs[0] <= default_rank_tol(sigma_eigs, d):
-            raise ValueError("sigma must be positive definite")
+        if sigma_rank < d:
+            raise DomainError("sigma must be positive definite")
         object.__setattr__(self, "shape", float(self.shape))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "sigma", sigma)
@@ -331,10 +328,7 @@ def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     d = spec.dim
     if s.shape[0] != d:
         raise ValueError(f"s must be {d}x{d}")
-    eigs = np.linalg.eigvalsh(s)
-    if eigs[0] <= 0:
-        raise DomainError("s must be positive definite")
-    logdet = float(np.sum(np.log(eigs)))
+    logdet = float(np.sum(np.log(_pd_eigenvalues(s, "s"))))
     inv = np.linalg.inv(s)
     trace_term = float(np.trace(inv[d - spec.rank :, d - spec.rank :])) if spec.rank else 0.0
     return _exp_in_range(-(spec.shape / 2.0) * logdet + trace_term, "transform")
@@ -367,21 +361,28 @@ class CanonicalReduction:
 def reduce_to_canonical(params: NcwParams) -> CanonicalReduction:
     """Diagonalize M = (1/2) sigma^(-1) w sigma^(-1) into canonical (q, k).
 
-    Eigenvalues of M sit in ascending order, zeros first; the trailing k
-    positive ones lambda_i^2 define q = diag(1,...,1, 1/lambda) u^T.  An
-    eigenvalue counts as positive above
-    :func:`~ncwishart.symcore.default_rank_tol`, the tolerance of the ranks
-    that :func:`exists_ncw` and ``ncw_sample`` take.  A warning is set when the
-    zero/nonzero split is numerically ambiguous.
+    k = rank_psd(w), the rank that :func:`exists_ncw` and ``ncw_sample``
+    take, so the reduction and the existence test read one rank.  The
+    eigenvalues of M sit in ascending order; the trailing k, lambda_i^2,
+    define q = diag(1,...,1, 1/lambda) u^T.  When M's k-th largest
+    eigenvalue is not positive, sigma is too ill-conditioned for the
+    reduction to keep rank(w), and DomainError is raised.  A warning is
+    set when the zero/nonzero split of M is numerically ambiguous.
     """
+    d = params.dim
+    k = rank_psd(params.w)
     sigma_inv_w = np.linalg.solve(params.sigma, params.w)
     m = 0.5 * np.linalg.solve(params.sigma, sigma_inv_w.T).T
-    m = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(m)
-    d = params.dim
-    k = int(np.count_nonzero(vals > default_rank_tol(vals, d)))
+    if not np.all(np.isfinite(m)):
+        raise DomainError("M = sigma^(-1) w sigma^(-1) / 2 exceeds the double range")
+    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
     scale = np.ones(d)
     if k:
+        if not vals[d - k] > 0.0:
+            raise DomainError(
+                f"sigma is too ill-conditioned to keep rank(w) = {k}: M's eigenvalue "
+                f"{k} from the top is {vals[d - k]:.3e}"
+            )
         scale[d - k :] = 1.0 / np.sqrt(vals[d - k :])
     q = scale[:, None] * vecs.T
     warning = None
@@ -766,32 +767,24 @@ def _poly_derivative_direct(power: int, n: int, x: Fraction, offset: Fraction) -
     return total
 
 
-def _faa_closed_full(n: int, x: Fraction, offset: Fraction) -> Fraction:
+def _faa_closed(power: int, n: int, x: Fraction, offset: Fraction) -> Fraction:
+    """Exact n-th derivative of q^power, q = x^2 - offset, by Faa di Bruno.
+
+    q' = 2x and q'' = 2 are the only nonzero derivatives, so the sum runs
+    over the count k2 of second derivatives, with power - n + k2 >= 0:
+
+        sum_k2 n! / (k2! (n-2k2)!) * power! / (power-n+k2)! * q^(power-n+k2) (2x)^(n-2k2)
+    """
     q = x * x - offset
     total = Fraction(0)
-    for k2 in range(n // 2 + 1):
+    for k2 in range(max(0, n - power), n // 2 + 1):
         total += (
-            Fraction(1, math.factorial(k2))
-            * q**k2
-            / math.factorial(k2)
+            Fraction(math.factorial(n), math.factorial(k2) * math.factorial(n - 2 * k2))
+            * math.perm(power, n - k2)
+            * q ** (power - n + k2)
             * (2 * x) ** (n - 2 * k2)
-            / math.factorial(n - 2 * k2)
         )
-    return math.factorial(n) ** 2 * total
-
-
-def _faa_closed_reduced(n: int, x: Fraction, offset: Fraction) -> Fraction:
-    q = x * x - offset
-    total = Fraction(0)
-    for k2 in range(1, n // 2 + 1):
-        total += (
-            Fraction(1, math.factorial(k2 - 1))
-            * q ** (k2 - 1)
-            / math.factorial(k2)
-            * (2 * x) ** (n - 2 * k2)
-            / math.factorial(n - 2 * k2)
-        )
-    return math.factorial(n) * math.factorial(n - 1) * total
+    return total
 
 
 @functools.cache
@@ -853,7 +846,8 @@ def faa_di_bruno_check(n: int, point: ConePoint2 | Sequence) -> FaaDiBrunoCheck:
     """Compare the composite-derivative closed forms against exact expansion.
 
     For q(x) = x^2 - offset the n-th x-derivatives of q^n and q^(n-1)
-    collapse to single sums over the second-derivative count k2:
+    collapse to single sums over the second-derivative count k2
+    (:func:`_faa_closed`); at power n and n - 1 they read
 
         d^n/dx^n q^n     = n!^2  sum_{k2=0}^{floor(n/2)} q^k2 (2x)^(n-2k2) / (k2!^2 (n-2k2)!)
         d^n/dx^n q^(n-1) = n!(n-1)! sum_{k2=1}^{floor(n/2)} q^(k2-1) (2x)^(n-2k2) / ((k2-1)! k2! (n-2k2)!)
@@ -875,8 +869,8 @@ def faa_di_bruno_check(n: int, point: ConePoint2 | Sequence) -> FaaDiBrunoCheck:
         x, y, z = point
     xf = _as_fraction(x)
     off = _as_fraction(y) ** 2 + _as_fraction(z) ** 2
-    closed_full = _faa_closed_full(n, xf, off)
-    closed_reduced = _faa_closed_reduced(n, xf, off)
+    closed_full = _faa_closed(n, n, xf, off)
+    closed_reduced = _faa_closed(n - 1, n, xf, off)
     fd_errs = []
     for power, closed in ((n, closed_full), (n - 1, closed_reduced)):
         fd = _fd_nth_derivative(power, n, float(xf), float(off), _FD_STEP)

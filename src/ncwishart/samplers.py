@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .measures import SHAPE_INTEGER_TOL, MeasureSpec, NcwParams
-from .symcore import DomainError, _count, _haar_columns, default_rank_tol, sym_entries
+from .symcore import DomainError, _count, _haar_columns, _psd_eigh, sym_entries
 from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
@@ -101,21 +101,15 @@ def decompose_w(w, n: int) -> MeanDecomposition:
 
     Raises RankExceedsShapeError when rank(w) > n.
     """
-    a = sym_entries(w, "w")
-    d = a.shape[0]
     if int(n) != n or n < 1:
         raise ValueError("n must be a positive integer")
     n = int(n)
-    vals, vecs = np.linalg.eigh(a)
-    tol = default_rank_tol(vals, d)
-    if vals[0] < -tol:
-        raise DomainError("w must be positive semidefinite")
-    keep = vals > tol
-    rank = int(np.count_nonzero(keep))
+    _, vals, vecs, rank = _psd_eigh(w, "w")
     if rank > n:
         raise RankExceedsShapeError(f"rank(w) = {rank} exceeds n = {n}")
+    d = vals.size
     means = np.zeros((n, d))
-    means[:rank] = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T
+    means[:rank] = np.sqrt(vals[d - rank :])[:, None] * vecs[:, d - rank :].T
     return MeanDecomposition(means)
 
 
@@ -398,14 +392,6 @@ def subspace_intersection_experiment(
     return hits / trials
 
 
-def _closed_cone_entries(m, name: str) -> np.ndarray:
-    a = sym_entries(m, name)
-    vals = np.linalg.eigvalsh(a)
-    if vals[0] < -default_rank_tol(vals, a.shape[0]):
-        raise DomainError(f"{name} must be positive semidefinite")
-    return a
-
-
 def rank_additivity_experiment(
     x0,
     y0,
@@ -419,8 +405,8 @@ def rank_additivity_experiment(
     conjugation kernel of :func:`singular_r_sample`, so the sums are
     exactly symmetric.
     """
-    a = _closed_cone_entries(x0, "x0")
-    b = _closed_cone_entries(y0, "y0")
+    a = _psd_eigh(x0, "x0")[0]
+    b = _psd_eigh(y0, "y0")[0]
     d = a.shape[0]
     if b.shape[0] != d:
         raise ValueError("x0 and y0 dimensions differ")

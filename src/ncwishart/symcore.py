@@ -1,8 +1,11 @@
 """Symmetric-matrix primitives and the package's typed errors.
 
-Cone membership with a rank tolerance, Haar sampling on the orthogonal
-group, the d=2 cone-of-revolution parameterization and the isometric
-Lebesgue coordinates on symmetric matrices.  ``DomainError`` and
+The one closed-cone rule of the package (:func:`_psd_eigh`: one
+eigendecomposition, rank = the count of eigenvalues above
+:func:`default_rank_tol`, outside when the smallest is below minus that
+tolerance), Haar sampling on the orthogonal group, the d=2
+cone-of-revolution parameterization and the isometric Lebesgue
+coordinates on symmetric matrices.  ``DomainError`` and
 ``TruncationError`` are defined here, in the one module that every other
 module imports, so that every module raises the same two classes.
 """
@@ -10,7 +13,6 @@ module imports, so that every module raises the same two classes.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 import operator
 from typing import Sequence
@@ -20,11 +22,8 @@ import numpy as np
 __all__ = [
     "DomainError",
     "TruncationError",
-    "ConeTag",
-    "ConeClass",
     "ConePoint2",
     "sym_entries",
-    "cone_classify",
     "rank_psd",
     "default_rank_tol",
     "phi2",
@@ -106,30 +105,6 @@ def _check_symmetric_stack(draws: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric")
 
 
-class ConeTag(enum.Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    BOUNDARY_RANK = "boundary_rank"
-    NOT_IN_CONE = "not_in_cone"
-
-
-@dataclasses.dataclass(frozen=True)
-class ConeClass:
-    """Cone classification of a symmetric matrix at a given tolerance.
-
-    ``rank`` counts eigenvalues > tolerance; for NOT_IN_CONE it still
-    reports that count so callers can inspect near-boundary cases.
-    """
-
-    tag: ConeTag
-    rank: int
-    tolerance: float
-    eigenvalues: tuple[float, ...]  # ascending
-
-    @property
-    def in_closed_cone(self) -> bool:
-        return self.tag is not ConeTag.NOT_IN_CONE
-
-
 @dataclasses.dataclass(frozen=True)
 class ConePoint2:
     """Point (x, y, z) of the cone of revolution x >= sqrt(y^2 + z^2)."""
@@ -138,15 +113,6 @@ class ConePoint2:
     y: float
     z: float
 
-    def radius(self) -> float:
-        return math.hypot(self.y, self.z)
-
-    def in_cone(self, tol: float = 0.0) -> bool:
-        return self.x >= self.radius() - tol
-
-    def in_interior(self, tol: float = 0.0) -> bool:
-        return self.x > self.radius() + tol
-
 
 def default_rank_tol(eigenvalues: np.ndarray, d: int) -> float:
     """d * machine epsilon * largest eigenvalue magnitude (floored at tiny)."""
@@ -154,35 +120,27 @@ def default_rank_tol(eigenvalues: np.ndarray, d: int) -> float:
     return max(d * np.finfo(float).eps * scale, np.finfo(float).tiny)
 
 
-def cone_classify(m, tol: float | None = None) -> ConeClass:
-    """Classify *m* as positive definite, boundary of rank b, or outside.
+def _psd_eigh(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(entries, ascending eigenvalues, eigenvectors, rank) of a closed-cone matrix.
 
-    Eigenvalue counting: rank = #{eig > tol}; any eigenvalue < -tol means
-    the matrix is outside the closed cone.
+    The one closed-cone rule: rank counts the eigenvalues of one
+    ``np.linalg.eigh`` above :func:`default_rank_tol`, and an eigenvalue
+    below minus that tolerance raises DomainError naming *name*.
     """
-    a = sym_entries(m)
-    d = a.shape[0]
-    eigs = np.linalg.eigvalsh(a)
-    if tol is None:
-        tol = default_rank_tol(eigs, d)
-    elif tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    rank = int(np.count_nonzero(eigs > tol))
-    if eigs[0] < -tol:
-        tag = ConeTag.NOT_IN_CONE
-    elif rank == d:
-        tag = ConeTag.POSITIVE_DEFINITE
-    else:
-        tag = ConeTag.BOUNDARY_RANK
-    return ConeClass(tag=tag, rank=rank, tolerance=float(tol), eigenvalues=tuple(float(v) for v in eigs))
+    a = sym_entries(m, name)
+    vals, vecs = np.linalg.eigh(a)
+    tol = default_rank_tol(vals, a.shape[0])
+    if vals[0] < -tol:
+        raise DomainError(
+            f"{name} must be positive semidefinite: it is outside the closed cone "
+            f"(min eigenvalue {vals[0]:.3e})"
+        )
+    return a, vals, vecs, int(np.count_nonzero(vals > tol))
 
 
-def rank_psd(m, tol: float | None = None) -> int:
-    """Tolerance-based rank of a closed-cone matrix (error if outside)."""
-    c = cone_classify(m, tol)
-    if c.tag is ConeTag.NOT_IN_CONE:
-        raise ValueError(f"matrix is outside the closed cone (min eigenvalue {c.eigenvalues[0]:.3e})")
-    return c.rank
+def rank_psd(m) -> int:
+    """Rank of a closed-cone matrix by the rule of :func:`_psd_eigh` (DomainError outside)."""
+    return _psd_eigh(m)[3]
 
 
 def _haar_columns(d: int, size: int, rng: np.random.Generator, cols: int | None = None) -> np.ndarray:

@@ -278,6 +278,72 @@ def test_reduce_to_canonical_flags_ambiguous_split():
     assert clean.rank == 1 and clean.warning is None
 
 
+def test_reduction_and_existence_read_one_rank():
+    # rank(w) = 2 at w's own scale, while M = diag(5e5, 5e-15, 0) has its second
+    # eigenvalue below 3 eps of its largest
+    p = NcwParams(1.0, np.diag([1.0, 1e-14, 0.0]), np.diag([1e-3, 1.0, 1.0]))
+    assert exists_ncw(p).rank == reduce_to_canonical(p).rank == 2
+    assert not exists_ncw(p)
+    # rotated, M's second eigenvalue is lost to rounding: a DomainError, not rank 1
+    c = math.sqrt(0.5)
+    r = np.array([[c, -c], [c, c]])
+    p = NcwParams(1.0, np.diag([1.0, 1e-14]), r @ np.diag([1e-6, 1.0]) @ r.T)
+    assert exists_ncw(p).rank == 2
+    with pytest.raises(DomainError, match="too ill-conditioned to keep rank"):
+        reduce_to_canonical(p)
+    with pytest.raises(DomainError, match="exceeds the double range"):
+        reduce_to_canonical(NcwParams(1.0, 1e300 * np.eye(2), 1e-10 * np.eye(2)))
+
+
+def _rotation(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+# q M q^T - I(k, d) at entry (i, j) is bounded in units of
+# d eps cond(sigma)^2 ||M|| s_i s_j, with s_i the row norms of q: the two solves
+# that form M err by about eps cond(sigma) ||M||, and the eigenvalues of w at or
+# below its rank tolerance, d eps ||w||, reach M as at most that unit.  The
+# largest seen over 12,000 random cases was 3 units.
+_REDUCTION_RESIDUAL_UNITS = 16
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_reduction_rank_is_the_existence_and_sampler_rank(d, data):
+    """Over w spread up to 1e8 and sigma conditioned up to 1e4, one rank for all three."""
+    k = data.draw(st.integers(min_value=0, max_value=d))
+    w_logs = data.draw(st.lists(st.floats(0.0, 8.0), min_size=k, max_size=k))
+    sigma_logs = data.draw(st.lists(st.floats(0.0, 4.0), min_size=d, max_size=d))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = _rotation(rng, d)
+    # sigma with w's eigenvectors meets w's spread head on: M's spread reaches 1e16
+    v = u if data.draw(st.booleans()) else _rotation(rng, d)
+    w = u @ np.diag([0.0] * (d - k) + [10.0**e for e in w_logs]) @ u.T
+    p = NcwParams(float(d), w, v @ np.diag([10.0**e for e in sigma_logs]) @ v.T)
+    rank = exists_ncw(p).rank
+    means = ncwishart.decompose_w(2.0 * p.w, d).means
+    assert np.count_nonzero(np.any(means != 0.0, axis=1)) == rank
+    try:
+        red = reduce_to_canonical(p)
+    except DomainError:
+        return
+    assert red.rank == rank
+    assert np.all(np.isfinite(red.q))
+    sigma_inv = np.linalg.inv(p.sigma)
+    m = 0.5 * sigma_inv @ p.w @ sigma_inv
+    sigma_eigs = np.linalg.eigvalsh(p.sigma)
+    s = np.linalg.norm(red.q, axis=1)
+    unit = (
+        d * np.finfo(float).eps * (sigma_eigs[-1] / sigma_eigs[0]) ** 2
+        * np.linalg.norm(m, 2) * np.outer(s, s)
+    )
+    target = np.diag([0.0] * (d - rank) + [1.0] * rank)
+    assert np.all(np.abs(red.q @ m @ red.q.T - target) <= _REDUCTION_RESIDUAL_UNITS * unit)
+
+
 # ---------------------------------------------------------------------------
 # Series densities and the critical-shape split
 

@@ -6,10 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncwishart import (
-    ConePoint2,
-    ConeTag,
+    DomainError,
     NcwParams,
-    cone_classify,
     coords_to_matrix,
     lebesgue_coords,
     phi2,
@@ -41,26 +39,12 @@ def test_empty_matrix_raises_its_own_value_error():
         NcwParams(1.0, np.zeros((0, 0)))
 
 
-def test_cone_classify_three_ways():
-    pd = cone_classify(np.diag([1.0, 2.0]))
-    assert pd.tag is ConeTag.POSITIVE_DEFINITE and pd.rank == 2
-
-    boundary = cone_classify(np.diag([1.0, 0.0]))
-    assert boundary.tag is ConeTag.BOUNDARY_RANK and boundary.rank == 1
-    assert boundary.in_closed_cone
-
-    outside = cone_classify(np.diag([1.0, -1.0]))
-    assert outside.tag is ConeTag.NOT_IN_CONE
-    assert not outside.in_closed_cone
-    assert outside.eigenvalues[0] == pytest.approx(-1.0)
-
-
-def test_cone_classify_explicit_tolerance():
-    m = np.diag([1.0, 1e-6])
-    assert cone_classify(m).rank == 2
-    assert cone_classify(m, tol=1e-3).rank == 1
-    with pytest.raises(ValueError):
-        cone_classify(m, tol=-1.0)
+def test_rank_psd_three_ways():
+    # rank d, rank below d, and DomainError outside the closed cone
+    assert rank_psd(np.diag([1.0, 2.0])) == 2
+    assert rank_psd(np.diag([1.0, 0.0])) == 1
+    with pytest.raises(DomainError, match=r"min eigenvalue -1\.000e\+00"):
+        rank_psd(np.diag([1.0, -1.0]))
 
 
 def test_rank_psd_refuses_outside_cone():
@@ -103,17 +87,6 @@ def test_phi2_roundtrip_det_and_pairing(x, y, z):
     a, b, c = 0.7, -0.3, 1.1
     lhs = float(np.trace(phi2((a, b, c)) @ m))
     assert lhs == pytest.approx(2 * (a * x + b * y + c * z), abs=1e-9)
-
-
-def test_cone_point_membership():
-    on_boundary = ConePoint2(1.0, 0.6, 0.8)
-    assert on_boundary.radius() == pytest.approx(1.0)
-    assert on_boundary.in_cone()
-    assert not on_boundary.in_interior()
-    assert ConePoint2(2.0, 0.6, 0.8).in_interior()
-    assert not ConePoint2(0.5, 0.6, 0.8).in_cone()
-    # tolerance loosens membership, not interiority
-    assert ConePoint2(0.99, 0.6, 0.8).in_cone(tol=0.02)
 
 
 def test_haar_orthogonal_is_orthogonal(rng):
