@@ -54,6 +54,12 @@ RANK_EVENT_TOL = 1e-8
 # assumption, not something to patch numerically.
 _MAX_SIGMA_CONDITION = 1e12
 
+# Draws per colouring product in _gaussian_sum_stack.  A product this size
+# stays on the calling thread; a flat one over all draws is large enough for
+# OpenBLAS to hand it to its own thread team, which the verify pool's
+# threads then contend for.
+_BLOCK_DRAWS = 2048
+
 
 class RankExceedsShapeError(ValueError):
     """No n-term mean decomposition exists: rank(w) > n.
@@ -127,22 +133,30 @@ def _gaussian_sum_stack(
 ) -> np.ndarray:
     """Draws of sum_k Y_k Y_k^T, Y_k = chol z_k + means[k], stacked entries first.
 
-    The (n_draws, n, d) standard normals are drawn from rng as one block.
-    They are copied once entries first and coloured by a single
-    ``chol @ z`` product over all n * n_draws columns, so y[i, k] holds
-    entry i of Y_k for every draw and each entry of the sum is one
-    contiguous reduction over k.  Returns shape (d, d, n_draws), exactly
-    symmetric.
+    The (n_draws, n, d) standard normals are drawn from rng as one block,
+    then walked in the fewest blocks of at most _BLOCK_DRAWS draws, as
+    equal as possible.  Each block is copied entries first and coloured by
+    one ``chol @ zb`` product over its n * B columns, so y[i, k] holds
+    entry i of Y_k for every draw of the block and each entry of the sum
+    is one contiguous reduction over k.  Every block then rounds as one
+    flat product over all draws would.  A one-draw block would not (gemv
+    instead of gemm at n = 1, and einsum's contiguous reduction), and with
+    equal blocks it arises only when n_draws is 1.  Returns shape
+    (d, d, n_draws), exactly symmetric.
     """
     n, d = means.shape
     z = rng.standard_normal((n_draws, n, d))
-    z = np.ascontiguousarray(z.transpose(2, 1, 0)).reshape(d, n * n_draws)
-    y = (chol @ z).reshape(d, n, n_draws)
-    y += means.T[:, :, None]
+    shift = means.T[:, :, None]
     draws = np.empty((d, d, n_draws))
-    for i in range(d):
-        for j in range(i, d):
-            draws[i, j] = draws[j, i] = np.einsum("kn,kn->n", y[i], y[j])
+    blocks = -(-n_draws // _BLOCK_DRAWS)
+    for b in range(blocks):
+        lo, hi = b * n_draws // blocks, (b + 1) * n_draws // blocks
+        zb = np.ascontiguousarray(z[lo:hi].transpose(2, 1, 0)).reshape(d, n * (hi - lo))
+        y = (chol @ zb).reshape(d, n, hi - lo)
+        y += shift
+        for i in range(d):
+            for j in range(i, d):
+                draws[i, j, lo:hi] = draws[j, i, lo:hi] = np.einsum("kn,kn->n", y[i], y[j])
     return draws
 
 
@@ -153,8 +167,8 @@ def ncw_sample(params: NcwParams, n_draws: int, rng: np.random.Generator) -> np.
     Y_i ~ N(m_i, sigma) and sum_i m_i m_i^T = 2 w.  Draws are exactly
     symmetric and positive semidefinite; rank is min(n, d) almost surely.
     Empirical means converge to n sigma + 2 w.  The whole stack is formed
-    entries first by one Gaussian-sum kernel (one colouring product for
-    all draws) and transposed once at the end.
+    entries first by one Gaussian-sum kernel (one colouring product per
+    block of draws) and transposed once at the end.
     """
     n = _integer_shape(params.shape)
     n_draws = _count(n_draws, "n_draws")

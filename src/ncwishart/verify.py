@@ -97,7 +97,13 @@ class RunConfig:
             object.__setattr__(self, "threads", _count(self.threads, "threads"))
 
     def workers(self, n_items: int) -> int:
-        limit = self.threads if self.threads is not None else (os.cpu_count() or 1)
+        """Pool size for n_items: threads if set, else the CPUs this process may run on."""
+        if self.threads is not None:
+            limit = self.threads
+        elif hasattr(os, "sched_getaffinity"):
+            limit = len(os.sched_getaffinity(0))
+        else:
+            limit = os.cpu_count() or 1
         return max(1, min(limit, n_items))
 
 
@@ -491,76 +497,65 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
 # Rank support
 
 
-def check_rank_support(config: RunConfig) -> list[CheckRecord]:
-    """Support statements as rank counts, and the structural zero of the rank-(d-1) part."""
-    trials = config.trials
-    records = []
+def _singular_r_ratio(d: int, trials: int, rng: np.random.Generator) -> float:
+    """The largest |lambda_1| / lambda_d over singular_r_sample draws."""
+    eigs = np.linalg.eigvalsh(singular_r_sample(d, trials, rng).draws)
+    return float(np.max(np.abs(eigs[:, 0]) / eigs[:, -1]))
 
-    hit_rate = max(
-        subspace_intersection_experiment(4, 2, 2, trials, _rng(config, 9, 0)),
-        subspace_intersection_experiment(5, 2, 3, trials, _rng(config, 9, 1)),
+
+def check_rank_support(config: RunConfig) -> list[CheckRecord]:
+    """Support statements as rank counts, and the structural zero of the rank-(d-1) part.
+
+    The 11 experiments run as pool items, each on its own (seed, 9, i)
+    stream; their batched SVD and eigvalsh calls release the GIL.
+    """
+    trials = config.trials
+    s3 = MeasureSpec(1.0, 1, 3)
+    experiments = [
+        (0, lambda rng: subspace_intersection_experiment(4, 2, 2, trials, rng)),
+        (1, lambda rng: subspace_intersection_experiment(5, 2, 3, trials, rng)),
+        (2, lambda rng: subspace_intersection_experiment(4, 2, 2, 2000, rng, degenerate_control=True)),
+        (3, lambda rng: rank_additivity_experiment(
+            np.diag([1.0, 0, 0, 0]), np.diag([1.0, 1.0, 0, 0]), trials, rng).off_target(3)),
+        (4, lambda rng: rank_additivity_experiment(
+            np.diag([1.0, 1.0, 0]), np.diag([1.0, 1.0, 0]), trials, rng).off_target(3)),
+        (5, lambda rng: rank_additivity_experiment(
+            np.diag([1.0, 1.0, 0]), np.zeros((3, 3)), 2000, rng).off_target(2)),
+        (6, lambda rng: convolution_support_experiment(s3, 1, trials, rng).off_target(2)),
+        (7, lambda rng: convolution_support_experiment(s3, 0, 2000, rng).off_target(1)),
+    ] + [(10 + d, lambda rng, d=d: _singular_r_ratio(d, trials, rng)) for d in (2, 3, 4)]
+    hit_a, hit_b, control, *add, conv_a, conv_b, r2, r3, r4 = _map_items(
+        config, experiments, lambda item: item[1](_rng(config, 9, item[0]))
     )
-    control = subspace_intersection_experiment(
-        4, 2, 2, 2000, _rng(config, 9, 2), degenerate_control=True
-    )
-    records.append(
+    return [
         _gated(
-            "rank-support-subspace", hit_rate, 0.0, Provenance.MONTE_CARLO,
+            "rank-support-subspace", max(hit_a, hit_b), 0.0, Provenance.MONTE_CARLO,
             f"(d,n,k) = (4,2,2) and (5,2,3), {trials} trials each; "
             f"degenerate control hit rate {control}",
             holds=control == 1.0,
-        )
-    )
-
-    add_off = rank_additivity_experiment(
-        np.diag([1.0, 0, 0, 0]), np.diag([1.0, 1.0, 0, 0]), trials, _rng(config, 9, 3)
-    ).off_target(3)
-    add_off += rank_additivity_experiment(
-        np.diag([1.0, 1.0, 0]), np.diag([1.0, 1.0, 0]), trials, _rng(config, 9, 4)
-    ).off_target(3)
-    add_off += rank_additivity_experiment(
-        np.diag([1.0, 1.0, 0]), np.zeros((3, 3)), 2000, _rng(config, 9, 5)
-    ).off_target(2)
-    records.append(
+        ),
         _gated(
-            "rank-support-additivity", add_off, 0.0, Provenance.MONTE_CARLO,
+            "rank-support-additivity", sum(add), 0.0, Provenance.MONTE_CARLO,
             f"(d,a,b) = (4,1,2), (3,2,2), and a zero summand, {trials} trials",
-        )
-    )
-
-    conv_off = convolution_support_experiment(
-        MeasureSpec(1.0, 1, 3), 1, trials, _rng(config, 9, 6)
-    ).off_target(2)
-    conv_off += convolution_support_experiment(
-        MeasureSpec(1.0, 1, 3), 0, 2000, _rng(config, 9, 7)
-    ).off_target(1)
-    records.append(
+        ),
         _gated(
-            "rank-support-convolution", conv_off, 0.0, Provenance.MONTE_CARLO,
+            "rank-support-convolution", conv_a + conv_b, 0.0, Provenance.MONTE_CARLO,
             f"shape 1 rank 1 plus central shape 1 in d = 3, {trials} trials; "
             "zero summand control",
-        )
-    )
-
-    # Each draw u [x 0; 0 0] u^T has one structural zero eigenvalue.  Roundoff
-    # bounds |lambda_1| / lambda_d by (2 (d-1)^(5/2) + d^2) eps: the two
-    # length-(d-1) dot products of the conjugation and eigvalsh's backward
-    # error.  The bound grows with d, so the gate is its d = 4 value.
-    worst_ratio = 0.0
-    for d in (2, 3, 4):
-        sample = singular_r_sample(d, trials, _rng(config, 9, 10 + d))
-        eigs = np.linalg.eigvalsh(sample.draws)
-        worst_ratio = max(worst_ratio, float(np.max(np.abs(eigs[:, 0]) / eigs[:, -1])))
-    records.append(
+        ),
+        # Each draw u [x 0; 0 0] u^T has one structural zero eigenvalue.
+        # Roundoff bounds |lambda_1| / lambda_d by (2 (d-1)^(5/2) + d^2) eps:
+        # the two length-(d-1) dot products of the conjugation and eigvalsh's
+        # backward error.  The bound grows with d, so the gate is its d = 4
+        # value.
         _gated(
-            "rank-support-singular-r", worst_ratio,
+            "rank-support-singular-r", max(0.0, r2, r3, r4),
             (2.0 * 3.0**2.5 + 16.0) * np.finfo(float).eps, Provenance.MONTE_CARLO,
             f"d in (2, 3, 4), {trials} draws each; value is the largest "
             "|lambda_1| / lambda_d, the structural zero eigenvalue against "
             "the largest; tolerance is the d = 4 roundoff bound",
-        )
-    )
-    return records
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from ncwishart import (
 )
 from ncwishart.report import coordinate_names, format_float
 from ncwishart.symcore import lebesgue_coords
+from ncwishart import verify
 from ncwishart.verify import RunConfig, _gated, run_suite
 
 
@@ -80,9 +83,43 @@ def test_suite_records_do_not_depend_on_thread_count():
     # draw order across the pool
     docs = [
         json.loads(run_suite("all", RunConfig(seed=0, trials=20, threads=t)).to_json())["results"]
-        for t in (1, 2)
+        for t in (1, 2, 3)
     ]
-    assert docs[0] == docs[1]
+    # at 3 threads the pools split their items unevenly, on more threads
+    # than this host may have cores
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_run_suite_calls_every_check_in_order_on_the_calling_thread(monkeypatch):
+    """run_suite runs its checks one after another on the calling thread.
+
+    Only the items inside a check are pooled.  perfbench's verify-all
+    workload wraps every CHECKS entry with a calibration burst that is not
+    thread-safe, so checks run concurrently would break its measurement.
+    """
+    calls = []
+    for name, check in list(verify.CHECKS.items()):
+        def call(cfg, name=name, check=check):
+            calls.append((name, threading.get_ident()))
+            return check(cfg)
+
+        monkeypatch.setitem(verify.CHECKS, name, call)
+    run_suite("all", RunConfig(seed=0, trials=20, threads=2))
+    assert calls == [(name, threading.get_ident()) for name in verify.CHECKS]
+
+
+def test_run_config_workers_count_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert RunConfig().workers(10) == 3
+    assert RunConfig().workers(2) == 2
+    assert RunConfig(threads=1).workers(10) == 1
+    assert RunConfig(threads=4).workers(10) == 4
+    # without an affinity call, the machine's CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert RunConfig().workers(10) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert RunConfig().workers(10) == 1
 
 
 def test_run_config_has_no_tolerance_knob():

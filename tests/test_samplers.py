@@ -23,7 +23,8 @@ from ncwishart import (
     weighted_laplace_estimate,
     zonal_lemma_checks,
 )
-from ncwishart.samplers import _order_statistics
+from ncwishart import samplers
+from ncwishart.samplers import _BLOCK_DRAWS, _order_statistics
 from ncwishart.symcore import _haar_columns
 from ncwishart.verify import RunConfig, check_rank_support
 
@@ -104,6 +105,42 @@ def test_ncw_sample_equals_batched_einsum_reference(d):
         else:
             bound = d * np.finfo(float).eps * np.max(np.abs(stacked))
             assert np.max(np.abs(draws - stacked)) <= bound
+
+
+def _flat_gaussian_sum(means, chol, n_draws, rng):
+    """The Gaussian-sum stack (d, d, n_draws) with all normals coloured by one flat product."""
+    n, d = means.shape
+    z = rng.standard_normal((n_draws, n, d))
+    y = (z.reshape(-1, d) @ chol.T).reshape(n_draws, n, d) + means
+    return _gram(y).transpose(1, 2, 0)
+
+
+def _sampler_outputs(d, n_draws):
+    out = []
+    for n in sorted({1, 2, d + 1}):
+        rng = np.random.default_rng([d, n])
+        vecs = rng.standard_normal((min(n, d), d))
+        params = NcwParams(float(n), 0.3 * vecs.T @ vecs, spd(rng, d))
+        out.append(ncw_sample(params, n_draws, np.random.default_rng([d, n, 1])))
+        sample = m_measure_sample((float(n), min(n, d), d), n_draws, np.random.default_rng([d, n, 2]))
+        out += [sample.draws, sample.log_weights]
+    if d >= 2:
+        sample = singular_r_sample(d, n_draws, np.random.default_rng([d, 3]))
+        out += [sample.draws, sample.log_weights]
+    return out
+
+
+@pytest.mark.parametrize("n_draws", [_BLOCK_DRAWS - 1, _BLOCK_DRAWS, 2 * _BLOCK_DRAWS + 1])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_samplers_walk_blocks_like_one_flat_product(d, n_draws, monkeypatch):
+    # the block walk of the Gaussian-sum kernel, across block edges,
+    # against the same samplers on the flat product over every draw
+    blocked = _sampler_outputs(d, n_draws)
+    monkeypatch.setattr(samplers, "_gaussian_sum_stack", _flat_gaussian_sum)
+    flat = _sampler_outputs(d, n_draws)
+    assert len(blocked) == len(flat)
+    for got, ref in zip(blocked, flat):
+        assert np.array_equal(got, ref)
 
 
 def test_ncw_sample_first_moment(rng):
@@ -288,6 +325,12 @@ def test_rank_support_records_pass_at_seed_3():
     # largest, a tail event of m(d-1, d-1, d-1) that no record may fail on
     failed = [rec.name for rec in check_rank_support(RunConfig(seed=3)) if not rec.passed]
     assert failed == []
+
+
+def test_rank_support_records_do_not_depend_on_thread_count():
+    # the 11 experiments run as pool items at the default trials
+    runs = [[rec.to_dict() for rec in check_rank_support(RunConfig(seed=1, threads=t))] for t in (1, 2)]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
