@@ -618,9 +618,56 @@ def m122_singular_density(y: float, z: float) -> float:
 
 
 # Points per slice of m122_ac_density: the slice's (n_m, slice) power
-# buffer stays a few MB, and each slice step is a few whole-slice
-# operations.
+# buffer stays within a few MB (n_m is 23-30 on the d2-roundtrip grids and
+# at most 487, where the density reaches the top of the double range), and
+# each slice step is a few whole-slice operations.
 _AC_SLICE = 4096
+
+# The most that m122_ac_density's term table may drop in each direction,
+# as a share of the sum: an eighth of the unit roundoff 2^-53.
+_AC_TAIL = 2.0**-56
+
+
+def _ac_term_counts(big_x: float, big_q: float) -> tuple[int, int]:
+    """Sizes (n_m, n_k) of m122_ac_density's term table for the scales X and Q.
+
+    In each direction, with term ratios r_j = term_(j+1) / term_j that fall
+    with j, the size is the first N with r_N < 1 and term_N / (1 - r_N) at
+    most _AC_TAIL times the largest term before N.  From N on the terms
+    fall at least geometrically, so term_N / (1 - r_N) bounds the dropped
+    tail, and the largest kept term is a lower bound on the sum.  The
+    ratios are
+
+        m: r_j   = X / ((j + 1) (j + 5/2)),
+        k: rho_j = Q / ((j + 1) (j + 2) (2j + 5/2) (2j + 7/2)).
+
+    r_j is the exact ratio of the k = 0 row of the table at 2x = X.  Row k
+    is that row times prod_(j<m) (j + 5/2) / (j + 2k + 5/2), and a point
+    2x < X multiplies it by (2x/X)^m.  Both factors fall with m, and a
+    factor that falls with m moves a positive series' weight towards small
+    m, so neither raises the share of the sum past N: the bound covers
+    every row at every point of the call.  In k, the sum of row k at 2x is
+    Q^k S_(2k+3/2)(2x) / (k! (k+1)!), with S_nu(u) = sum_m u^m / (m!
+    Gamma(m + nu + 1)).  Termwise S_(nu+2)(u) <= S_nu(u) / ((nu + 1)
+    (nu + 2)), so rho_j bounds the ratio of consecutive row sums at every
+    point, and the factor (q/Q)^k falls with k.  The loop keeps the share
+    term_n / max_(j<n) term_j rather than the terms, so nothing leaves the
+    double range.
+    """
+    counts = []
+    for ratio in (
+        lambda j: big_x / ((j + 1.0) * (j + 2.5)),
+        lambda j: big_q / ((j + 1.0) * (j + 2.0) * (2.0 * j + 2.5) * (2.0 * j + 3.5)),
+    ):
+        n, share = 1, ratio(0)
+        while True:
+            r = ratio(n)
+            if r < 1.0 and share <= _AC_TAIL * (1.0 - r):
+                break
+            share = r if share >= 1.0 else share * r
+            n += 1
+        counts.append(n)
+    return counts[0], counts[1]
 
 
 def _ive_three_halves(z: float) -> float:
@@ -652,8 +699,10 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
 
     Each call builds one table g[m, k] = X^m Q^k / (m! k! (k+1)! Gamma(m +
     2k + 5/2)), where X and Q are the call's largest 2x and q (at least 1),
-    with its sizes set by X and Q, so a point's value does not depend on
-    how the points are sliced.  The flattened points are walked in slices
+    with its sizes set by X and Q through ``_ac_term_counts``: each
+    direction stops where the dropped tail is at most 2^-56 of the sum, at
+    every point of the call.  So a point's value does not depend on how
+    the points are sliced.  The flattened points are walked in slices
     of ``_AC_SLICE``, reusing one power buffer and one row buffer.  In a
     slice the powers (2x/X)^m are running products, the rows are one
     matrix product g^T (2x/X)^m, and the sum over k is a Horner sum in
@@ -684,13 +733,8 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
         log_floor = math.log(2.0 / math.sqrt(math.pi) * _ive_three_halves(root)) + root - 0.75 * math.log(big_x)
         if log_floor > _LOG_DOUBLE_MAX:
             raise DomainError(f"the density exceeds the double range: its log is above {log_floor:.6g}")
-    # Along m the terms peak near sqrt(X) with width about X^(1/4); along k
-    # they fall like q^k / (k!^2 (2k)!), peaking near (q/4)^(1/4) with width
-    # about q^(1/8).  These margins leave every dropped term below 1e-17 of
-    # the sum.
-    n_m = int(math.sqrt(big_x) + 8.0 * big_x**0.25) + 20
-    n_k = int(big_q**0.25 + 8.0 * big_q**0.125) + 20
     scale_x, scale_q = max(big_x, 1.0), max(big_q, 1.0)
+    n_m, n_k = _ac_term_counts(scale_x, scale_q)
     m = np.arange(n_m, dtype=float)
     k = np.arange(n_k, dtype=float)
     g = np.empty((n_m, n_k))

@@ -169,6 +169,13 @@ def ncw_sample(params: NcwParams, n_draws: int, rng: np.random.Generator) -> np.
     Empirical means converge to n sigma + 2 w.  The whole stack is formed
     entries first by one Gaussian-sum kernel (one colouring product per
     block of draws) and transposed once at the end.
+
+    A one-draw call rounds differently from the first draw of a longer
+    call on the same seed: its colouring product is a gemv instead of a
+    gemm at n = 1, and einsum sums its n columns by its contiguous
+    reduction, which rounds differently at some n (at d = 4, n = 5 but not
+    n = 2).  The law is the same and the last bits differ; every call of
+    two or more draws rounds as one flat product over all of them.
     """
     n = _integer_shape(params.shape)
     n_draws = _count(n_draws, "n_draws")
@@ -249,7 +256,9 @@ def m_measure_sample(
     classifier already guards the k > n cases that would fail it below
     d - 1.  Laplace-transform estimates from the weights are only
     finite-variance for s > I_d / 2; weighted_laplace_estimate enforces
-    that domain.
+    that domain.  As with :func:`ncw_sample`, a one-draw call rounds its
+    draw differently from the first draw of a longer call on the same
+    seed.
     """
     draws, log_w = _m_measure_stack(MeasureSpec.of(spec), n_draws, rng)
     return WeightedSample(np.ascontiguousarray(draws.transpose(2, 0, 1)), log_w)
@@ -283,17 +292,35 @@ def singular_r_sample(d: int, n_draws: int, rng: np.random.Generator) -> Weighte
     return WeightedSample(draws, log_w)
 
 
-def _trace_pairing(draws: np.ndarray, s: np.ndarray) -> np.ndarray:
-    return np.einsum("bij,ji->b", draws, s)
+def _laplace_mean(draws: np.ndarray, s: np.ndarray, log_weights: np.ndarray | None = None) -> McEstimate:
+    """Mean of exp(log_weights - tr(s x)) over stacked draws x, with its standard error.
+
+    A value, mean or standard error beyond the double range raises
+    DomainError, with no numpy warning first.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = -np.einsum("bij,ji->b", draws, s)
+        if log_weights is not None:
+            exponents += log_weights
+        est = _mc_mean(np.exp(exponents))
+    if not (math.isfinite(est.estimate) and math.isfinite(est.std_error)):
+        raise DomainError(
+            f"the Laplace estimate leaves the double range: estimate {est.estimate}, std error {est.std_error}"
+        )
+    return est
 
 
 def empirical_laplace(draws: np.ndarray, s) -> McEstimate:
-    """Plain Monte Carlo estimate of E[exp(-tr(s X))] over stacked draws."""
+    """Plain Monte Carlo estimate of E[exp(-tr(s X))] over stacked draws.
+
+    An estimate or standard error beyond the double range raises
+    DomainError.
+    """
     s = sym_entries(s, "s")
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 3 or draws.shape[1:] != s.shape:
         raise ValueError("draws must be stacked (N, d, d) matching s")
-    return _mc_mean(np.exp(-_trace_pairing(draws, s)))
+    return _laplace_mean(draws, s)
 
 
 def weighted_laplace_estimate(sample: WeightedSample, s) -> McEstimate:
@@ -301,7 +328,8 @@ def weighted_laplace_estimate(sample: WeightedSample, s) -> McEstimate:
 
     The m(n, k, d) weights grow like e^(tr x / 2), so the estimator has
     finite variance only for s > I_d / 2; outside that domain the call is
-    refused.
+    refused.  An estimate or standard error beyond the double range raises
+    DomainError.
     """
     s = sym_entries(s, "s")
     if s.shape[0] != sample.dim:
@@ -309,8 +337,7 @@ def weighted_laplace_estimate(sample: WeightedSample, s) -> McEstimate:
     gap = np.linalg.eigvalsh(s - 0.5 * np.eye(sample.dim))
     if gap[0] <= 0.0:
         raise DomainError("weighted Laplace estimates need s > I/2")
-    vals = np.exp(sample.log_weights - _trace_pairing(sample.draws, s))
-    return _mc_mean(vals)
+    return _laplace_mean(sample.draws, s, sample.log_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -763,12 +763,38 @@ def _m122_ac_reference(x: float, y: float, z: float) -> float:
 @example(x=200.0, frac=1.0)
 @example(x=200.0, frac=0.0)
 @example(x=1e-300, frac=1.0)
+@example(x=5000.0, frac=1.0)  # q = 0: the longest m direction the reference reaches
+@example(x=5000.0, frac=0.0)  # q = x^2: the longest k direction as well
 def test_m122_ac_density_matches_scalar_reference(x, frac):
     """The table kernel against the adaptive double loop, the sheet q = 0 included."""
     y = frac * x
     expected = _m122_ac_reference(x, y, 0.0)
     assert m122_ac_density(x, y, 0.0) == pytest.approx(expected, rel=1e-12)
     assert m122_ac_density(np.array([x]), np.array([y]), 0.0)[0] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("big_x", [0.25, 1.0, 7.0, 57.0, 1e3, 3e4, 1.28e5])
+@pytest.mark.parametrize("big_q", [0.5, 1.0, 30.0, 1e3, 1e6, 4e9, 1e12])
+def test_m122_ac_term_counts_drop_at_most_2_to_the_minus_56(big_x, big_q):
+    """The terms past the table, summed by brute force, against 2^-56 of the kept ones.
+
+    The scales reach the largest X the double range allows (about 1.3e5)
+    and Q past its X^2 / 4.  The table's own point u = X, v = Q is the
+    worst case of the bound; points with smaller u and v are checked too.
+    """
+    scale_x, scale_q = max(big_x, 1.0), max(big_q, 1.0)
+    n_m, n_k = measures._ac_term_counts(scale_x, scale_q)
+    m = np.arange(2 * n_m + 60, dtype=float)[:, None]
+    k = np.arange(2 * n_k + 60, dtype=float)[None, :]
+    gammaln = special.gammaln
+    log_g = -gammaln(m + 1) - gammaln(k + 1) - gammaln(k + 2) - gammaln(m + 2 * k + 2.5)
+    for u, v in itertools.product([1.0, 0.5], [1.0, 0.5, 0.0]):
+        log_v_power = k * math.log(v * scale_q) if v > 0.0 else np.where(k > 0, -np.inf, 0.0)
+        log_terms = log_g + m * math.log(u * scale_x) + log_v_power
+        terms = np.exp(log_terms - log_terms.max())
+        kept = terms[:n_m, :n_k].sum()
+        dropped = terms[n_m:].sum() + terms[:n_m, n_k:].sum()
+        assert dropped <= 2.0**-56 * kept, (u, v, n_m, n_k, dropped / kept)
 
 
 _D2_ROUNDTRIP_POINTS = [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]

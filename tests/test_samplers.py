@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ncwishart import (
     MeasureSpec,
     NcwParams,
     RankExceedsShapeError,
+    WeightedSample,
     convolution_support_experiment,
     decompose_w,
     empirical_laplace,
@@ -293,6 +295,31 @@ def test_weighted_estimator_variance_guard(rng):
     risky = 0.4 * np.eye(2)
     with pytest.raises(DomainError):
         weighted_laplace_estimate(sample, risky)
+
+
+def test_laplace_estimates_past_the_double_range_raise_domain_error(rng):
+    """A value, mean or standard error past the double range raises, with no numpy warning."""
+    draws = ncw_sample(NcwParams(3.0, np.zeros((2, 2))), 100, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            empirical_laplace(draws, -400.0 * np.eye(2))
+        with pytest.raises(DomainError):
+            weighted_laplace_estimate(WeightedSample(draws, np.full(100, 800.0)), np.eye(2))
+        # every value and the mean are finite, but the squared deviations are not
+        spread = WeightedSample(draws, np.linspace(370.0, 380.0, 100))
+        with pytest.raises(DomainError):
+            weighted_laplace_estimate(spread, np.eye(2))
+        s, t, log_w = 0.3 * np.eye(2), 0.8 * np.eye(2), np.linspace(-1.0, 1.0, 100)
+        est = empirical_laplace(draws, s)
+        weighted = weighted_laplace_estimate(WeightedSample(draws, log_w), t)
+    # finite estimates keep the bits of the plain formula
+    for got, vals in [
+        (est, np.exp(-np.einsum("bij,ji->b", draws, s))),
+        (weighted, np.exp(log_w - np.einsum("bij,ji->b", draws, t))),
+    ]:
+        assert got.estimate == float(vals.mean())
+        assert got.std_error == float(vals.std(ddof=1) / math.sqrt(100))
 
 
 def test_m_measure_seed_reproducibility():
