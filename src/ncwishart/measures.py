@@ -434,8 +434,9 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
     so each equals its log=True value bit for bit.  Arguments at or below
     zero are gamma poles, where that function raises: the table holds +inf
     there, and where lgamma overflows, and so does the sum.  The columns
-    double whenever a layer's largest part passes them, so the table grows
-    with the weight the series reaches.
+    double whenever the largest part of the parts passed, one layer's or a
+    whole chunk's, passes them, so the table grows with the weight the
+    series reaches.
     """
     log_pi = d * (d - 1) / 4.0 * math.log(math.pi)
     half = np.arange(d) / 2.0
@@ -444,7 +445,7 @@ def _log_multivariate_gammas(p: float, d: int) -> Callable[[np.ndarray], np.ndar
 
     def log_gammas(parts: np.ndarray) -> np.ndarray:
         nonlocal table
-        top = int(parts[0, 0])  # a layer's first kappa is (w), its largest part
+        top = int(parts[:, 0].max())  # the largest part of every layer passed
         if top >= table.shape[1]:
             cols = [
                 [_lgamma_or_inf(a) for a in ((p + m) - half).tolist()]
@@ -480,7 +481,11 @@ def density_m_fullrank(x, shape: float) -> float:
     :func:`_log_multivariate_gammas` (a pole gives the weight exactly 0)
     and summed by :func:`_sum_weight_layers`.
     """
-    eigs = _pd_eigenvalues(x, "x")
+    return _fullrank_density(_pd_eigenvalues(x, "x"), shape)
+
+
+def _fullrank_density(eigs: np.ndarray, shape: float) -> float:
+    """:func:`density_m_fullrank` at the point with eigenvalues *eigs*."""
     d = eigs.size
     shape = float(shape)
     if not d - 1 - SHAPE_INTEGER_TOL <= shape < math.inf:
@@ -503,10 +508,10 @@ def density_fd(t) -> float:
     :func:`density_m_fullrank`.  It is the full-rank density at the shape
     d - 1, where the gamma poles remove every kappa shorter than d.
     """
-    d = _pd_eigenvalues(t, "t").size
-    if d < 2:
+    eigs = _pd_eigenvalues(t, "t")
+    if eigs.size < 2:
         raise DomainError("the boundary decomposition needs d >= 2")
-    return density_m_fullrank(t, d - 1)
+    return _fullrank_density(eigs, eigs.size - 1)
 
 
 def _fd_kappas(parts: np.ndarray) -> np.ndarray:

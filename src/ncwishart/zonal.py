@@ -29,6 +29,7 @@ import dataclasses
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -331,25 +332,36 @@ def _layer_data(
     return data
 
 
+def _monomials(eigs: np.ndarray, top: int, flat: np.ndarray, lam_index: np.ndarray, n_mono: int) -> np.ndarray:
+    """The monomials m_lam of one eigenvalue vector, for one or more layers.
+
+    *flat* indexes the raveled d x (top + 1) table of eigenvalue powers, one
+    column per composition, and *lam_index* gives each composition its
+    monomial among *n_mono*.  Every composition's product runs over the d
+    rows in order and every monomial sums its compositions in column order,
+    so a layer's monomials have the same bits whether its compositions are
+    gathered alone or after other layers' in one concatenated index.
+    """
+    powers = eigs[:, None] ** np.arange(top + 1)
+    terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
+    return np.bincount(lam_index, weights=terms, minlength=n_mono)
+
+
 def _layer_values(eigs: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
     """Padded parts (kappa x d) and C_kappa at the eigenvalues, in table order.
 
     *eigs* is one eigenvalue vector of length d, or a stack of N of them,
     shape (N, d), for which the values come one row per point, shape
     (N, kappa).  All monomials m_lam come from one flat gather-and-product
-    over the compositions of the weight into d slots; the cached
-    coefficient matrix of :func:`_coeff_matrix` turns them into the C_kappa
-    values with one matrix-vector product per point, so each row of a stack
-    equals the call on that point alone, bit for bit.
+    over the compositions of the weight into d slots (for one point, the
+    one-layer case of :func:`_monomials`); the cached coefficient matrix of
+    :func:`_coeff_matrix` turns them into the C_kappa values with one
+    matrix-vector product per point, so each row of a stack equals the call
+    on that point alone, bit for bit.
     """
     _, parts, coeff, flat, lam_index = _layer_data(weight, eigs.shape[-1])
     if eigs.ndim == 1:
-        # the series evaluate one point per layer; a shape-generic form of
-        # the stack lines below made them about 10% slower
-        powers = eigs[:, None] ** np.arange(weight + 1)
-        terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
-        mono = np.bincount(lam_index, weights=terms, minlength=coeff.shape[1])
-        return parts, coeff @ mono
+        return parts, coeff @ _monomials(eigs, weight, flat, lam_index, coeff.shape[1])
     # the same gather with the points along a last axis; the points bin into
     # consecutive blocks of n_lam monomials
     n, n_lam = eigs.shape[0], coeff.shape[1]
@@ -500,20 +512,106 @@ def _over_factorial(total: float, w: int) -> float:
     return total
 
 
+# Caps on one chunk of the series walk, :func:`_weighted_layers`.  Each
+# gather pays 15-20 us of numpy-call overhead whatever its size, which short
+# layers save by sharing one.  But a chunk is gathered whole when the caller
+# asks for its first layer, and the layers past the caller's stop are work
+# nobody reads.  On the mix of perfbench's `series` workload (d = 2-5,
+# weights 12-24; 2-vCPU Xeon) the median evaluation took 163 us at 2,048
+# compositions, against 178 and 193 us at 4,096 and 8,192, and 166 us at
+# 1,024.
+_CHUNK_COMPOSITIONS = 2048
+# At d = 2 a layer has only w + 1 compositions, so the cap above alone would
+# let one chunk run some 60 layers past series that stop at weight 12-24.
+# On the same mix, 8 layers took 185 us and 12 or more 163 us.
+_CHUNK_LAYERS = 12
+
+# (start, d) -> the concatenated evaluation data of the chunk that starts at
+# layer *start*: the longest one the cached tables allow, as tables only
+# ever join _LAYERS
+_CHUNKS: dict[tuple[int, int], tuple] = {}
+
+
+def _chunk_data(
+    start: int, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
+    """Evaluation data of the run of layers that the walk takes from *start* on.
+
+    The run is layer *start* followed by the consecutive layers whose tables
+    are already in ``_LAYERS``, up to ``_CHUNK_LAYERS`` layers and
+    ``_CHUNK_COMPOSITIONS`` compositions in all.  A cold table at *start*
+    is built, since the caller has asked for that layer, and then the run
+    is that layer alone: no table is ever built ahead of the caller.
+
+    Returns the compositions of the run, stop = start + its length, as
+    flat indices into one raveled d x stop table of eigenvalue powers,
+    their monomial indices with each layer's after the previous layer's, the
+    stacked padded parts, and (weight, coefficient matrix) per layer.  A
+    one-layer run is the layer's own data; a longer one is cached in
+    ``_CHUNKS`` until a longer run from the same start replaces it.
+    """
+    cached = (start, d) in _LAYERS
+    _, parts, coeff, flat, lam_index = _layer_data(start, d)
+    stop, n_comps = start + 1, flat.shape[1]
+    while cached and stop - start < _CHUNK_LAYERS and (stop, d) in _LAYERS:
+        n_comps += _LAYERS[stop, d][3].shape[1]
+        if n_comps > _CHUNK_COMPOSITIONS:
+            break
+        stop += 1
+    if stop == start + 1:
+        return flat, lam_index, parts, ((start, coeff),)
+    data = _CHUNKS.get((start, d))
+    if data is None or len(data[3]) != stop - start:
+        layers = {w: _LAYERS[w, d] for w in range(start, stop)}
+        # re-stride each layer's a_i + (w + 1) i to a_i + stop i
+        rows = np.arange(d)[:, None]
+        flat = np.concatenate([lay[3] + (stop - w - 1) * rows for w, lay in layers.items()], axis=1)
+        offsets = itertools.accumulate((len(lay[1]) for lay in layers.values()), initial=0)
+        data = (
+            flat.astype(np.uint16 if stop * d <= 2**16 else np.intp),
+            np.concatenate([lay[4] + off for lay, off in zip(layers.values(), offsets)]),
+            np.concatenate([lay[1] for lay in layers.values()]),
+            tuple((w, lay[2]) for w, lay in layers.items()),
+        )
+        _CHUNKS[start, d] = data
+    return data
+
+
 def _weighted_layers(eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]) -> Iterator[float]:
     """Yield sum_kappa weight_kappa C_kappa(eigs) / w! for w = 0, 1, 2, ...
 
     The one walk over weight layers that every zonal series takes.
-    *weights* maps the padded parts of one layer (kappa x d, in table
-    order) to one weight per kappa; each layer is the dot product of those
-    weights with the C_kappa values of :func:`_layer_values`, divided by w!
-    through :func:`_over_factorial`.  The walk never ends by itself: a
-    layer is built only when the caller asks for it, and the caller
-    decides where to stop.
+    *weights* maps the padded parts of layers (kappa x d, in table order,
+    one layer's rows after another's) to one weight per kappa; each layer
+    is the dot product of those weights with its C_kappa values, divided by
+    w! through :func:`_over_factorial`.
+
+    The walk goes a chunk of consecutive layers at a time
+    (:func:`_chunk_data`): one table of eigenvalue powers, one gather of
+    the monomials (:func:`_monomials`) and one *weights* call per chunk,
+    then per layer the product with its coefficient matrix, the dot with
+    its weights and the division, the same operations as a walk of one
+    layer at a time and so the same bits.  A chunk only joins layers whose
+    tables are already cached: layer values may be computed ahead of the
+    caller, without a numpy warning for those that overflow, but a table is
+    built only when the caller asks for its layer.  The walk never ends by
+    itself; the caller decides where to stop, and checks that the layers it
+    takes are finite.
     """
-    for w in itertools.count():
-        parts, values = _layer_values(eigs, w)
-        yield _over_factorial(float(values @ weights(parts)), w)
+    d = eigs.size
+    start = 0
+    while True:
+        flat, lam_index, parts, layers = _chunk_data(start, d)
+        # layers past the caller's stop may overflow here: silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            mono = _monomials(eigs, start + len(layers) - 1, flat, lam_index, len(parts))
+            chunk_weights = weights(parts)
+        lo = 0
+        for w, coeff in layers:
+            hi = lo + coeff.shape[0]
+            yield _over_factorial(float((coeff @ mono[lo:hi]) @ chunk_weights[lo:hi]), w)
+            lo = hi
+        start += len(layers)
 
 
 def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
@@ -676,11 +774,25 @@ class McEstimate:
 
 
 def _mc_mean(values: np.ndarray) -> McEstimate:
-    """Sample mean of per-draw values with its standard error."""
+    """Sample mean of per-draw values with its standard error.
+
+    The n squared deviations, each at most (2 top)^2 for the largest |value|
+    top, sum without overflow while top <= sqrt(max / (4 n)).  Past that the
+    values are first divided by the power of two that brings top under the
+    bound, and the mean and standard error multiplied back.  A power of two
+    scales exactly, so the scaled results have the bits the unscaled sums
+    would have had without the overflow.
+    """
     n = values.size
     if n < 2:
         raise ValueError("need at least two draws for a standard error")
-    return McEstimate(float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)), n)
+    top = max(float(values.max()), -float(values.min()))
+    bound = math.sqrt(sys.float_info.max / (4 * n))
+    scale = 1.0
+    if bound < top < math.inf:
+        scale = math.ldexp(1.0, math.frexp(top / bound)[1])
+        values = values / scale
+    return McEstimate(scale * float(values.mean()), scale * float(values.std(ddof=1) / math.sqrt(n)), n)
 
 
 # Haar rotations per batch of the Monte Carlo walks; it bounds the working

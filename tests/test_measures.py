@@ -389,6 +389,58 @@ def test_density_fd_stable_route_matches_raw_series(rng):
         density_fd(np.array([[1.0]]))  # the boundary density needs d >= 2
 
 
+def test_density_fd_decomposes_t_once(monkeypatch, rng):
+    calls = []
+    real = measures._pd_eigenvalues
+    monkeypatch.setattr(measures, "_pd_eigenvalues", lambda x, name: calls.append(name) or real(x, name))
+    for d in (2, 3, 4):
+        t = spd(rng, d, 0.4, 2.0)
+        calls.clear()
+        value = density_fd(t)
+        assert calls == ["t"]
+        assert value == density_m_fullrank(t, d - 1)
+
+
+# Orthogonal invariance of the four zonal series, at x and at q x q^T.  The
+# bound was fixed before any example ran.  Both matrices are formed in
+# floating point, q is orthogonal to a few eps, and eigvalsh is backward
+# stable, so the two computed spectra differ by at most about 8 d eps ||x||
+# per eigenvalue: a relative change delta <= 8 d eps cond(x).  A layer of
+# weight w is a sum of nonnegative terms homogeneous of degree w in the
+# eigenvalues (the monomial coefficients of C_kappa and every weight are
+# nonnegative), so it moves by at most w delta relative, and w <= 64, the
+# series cap.  The determinant factors have exponents of size at most d / 2,
+# a further d^2 / 2 delta.  The coefficient tables and the weights are the
+# same for both points, so what else differs is the rounding of the gathers
+# and sums of nonnegative terms, each at most (terms - 1) eps relative:
+# under 2,048 eps per evaluation at d <= 4 and weight <= 64.  The bound
+# takes both series to stop at the same weight; each tests its layers
+# against 1e-10 of the total, and the two totals differ by about delta, so
+# a split stop is a chance of order 1e-12 per example.
+def _invariance_bound(d: int, cond: float) -> float:
+    eps = np.finfo(float).eps
+    return 8 * d * eps * cond * (64 + d * d / 2) + 2 * 2048 * eps
+
+
+@given(d=st.integers(min_value=2, max_value=4), data=st.data())
+def test_zonal_series_are_orthogonally_invariant(d, data):
+    eigs = np.array(data.draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)))
+    shape = data.draw(st.floats(d - 1.0, d + 1.0))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    q0, q = (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))
+    x = q0 @ np.diag(eigs) @ q0.T
+    y = q @ x @ q.T
+    bound = _invariance_bound(d, eigs.max() / eigs.min())
+    for name, series in [
+        ("density_m_fullrank", lambda a: density_m_fullrank(a, shape)),
+        ("density_fd", density_fd),
+        ("lt_fd_series", lambda a: lt_fd_series(a, d)),
+        ("singular_r_laplace", lambda a: singular_r_laplace(a, d)),
+    ]:
+        at_x, at_y = series(x), series(y)
+        assert abs(at_x - at_y) <= bound * abs(at_x), (name, at_x, at_y, bound)
+
+
 def test_split_transform_reassembles_laplace_m(rng):
     for d in (2, 3):
         for _ in range(5):

@@ -29,6 +29,7 @@ from ncwishart import samplers
 from ncwishart.samplers import _BLOCK_DRAWS, _order_statistics
 from ncwishart.symcore import _haar_columns
 from ncwishart.verify import RunConfig, check_rank_support
+from ncwishart.zonal import _mc_mean
 
 N_MC = 30_000
 
@@ -306,10 +307,6 @@ def test_laplace_estimates_past_the_double_range_raise_domain_error(rng):
             empirical_laplace(draws, -400.0 * np.eye(2))
         with pytest.raises(DomainError):
             weighted_laplace_estimate(WeightedSample(draws, np.full(100, 800.0)), np.eye(2))
-        # every value and the mean are finite, but the squared deviations are not
-        spread = WeightedSample(draws, np.linspace(370.0, 380.0, 100))
-        with pytest.raises(DomainError):
-            weighted_laplace_estimate(spread, np.eye(2))
         s, t, log_w = 0.3 * np.eye(2), 0.8 * np.eye(2), np.linspace(-1.0, 1.0, 100)
         est = empirical_laplace(draws, s)
         weighted = weighted_laplace_estimate(WeightedSample(draws, log_w), t)
@@ -320,6 +317,24 @@ def test_laplace_estimates_past_the_double_range_raise_domain_error(rng):
     ]:
         assert got.estimate == float(vals.mean())
         assert got.std_error == float(vals.std(ddof=1) / math.sqrt(100))
+
+
+def test_laplace_estimate_of_values_past_the_square_root_of_the_range_is_finite(rng):
+    """Values of 4e154-2e164 square past the double range; their mean and std error do not."""
+    draws = ncw_sample(NcwParams(3.0, np.zeros((2, 2))), 100, rng)
+    log_w = np.linspace(370.0, 380.0, 100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = weighted_laplace_estimate(WeightedSample(draws, log_w), np.eye(2))
+    assert math.isfinite(est.estimate) and math.isfinite(est.std_error)
+    # a power of two scales exactly, so any one that keeps the squares in
+    # range gives the same bits
+    vals = np.exp(log_w - np.einsum("bij,ji->b", draws, np.eye(2)))
+    assert est.estimate == float(vals.mean())
+    assert est.std_error == 2.0**600 * float((vals / 2.0**600).std(ddof=1) / math.sqrt(100))
+    # values that stay under the bound are not scaled
+    modest = vals / 2.0**600
+    assert _mc_mean(modest).std_error == float(modest.std(ddof=1) / math.sqrt(100))
 
 
 def test_m_measure_seed_reproducibility():

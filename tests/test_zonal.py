@@ -1,6 +1,8 @@
+import concurrent.futures
 import functools
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,7 @@ from ncwishart import (
     zonal_layer,
 )
 from ncwishart.measures import density_fd, density_m_fullrank
-from ncwishart.verify import RunConfig, check_zonal_lemma_mc
+from ncwishart.verify import RunConfig, check_zonal_lemma_mc, run_suite
 from ncwishart.zonal import _dominated_by, partitions_of_weight
 
 F = Fraction
@@ -936,6 +938,121 @@ def test_over_factorial_is_float_division_up_to_170():
         -2.0 * math.exp(-math.lgamma(172)), rel=1e-13
     )
     assert zonal._over_factorial(0.0, 200) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The series walk, chunk by chunk, against one layer at a time
+
+# The highest weight the walk tests pull, per d.
+_WALK_TOP = {1: 40, 2: 40, 3: 40, 4: 20, 5: 20}
+
+
+@functools.cache
+def _walk_tables() -> dict:
+    return {(w, d): zonal._layer_data(w, d) for d, top in _WALK_TOP.items() for w in range(top + 1)}
+
+
+def _walk_weights(d: int, p: float) -> list:
+    """Factories of the weights of every series: unit, both masks, reciprocal gammas."""
+
+    def gammas():
+        log_gammas = measures._log_multivariate_gammas(p, d)
+        return lambda parts: np.exp(-log_gammas(parts))
+
+    return [
+        lambda: lambda parts: np.ones(len(parts)),
+        lambda: measures._fd_kappas,
+        lambda: measures._remainder_kappas,
+        gammas,
+    ]
+
+
+def _one_layer_walk(eigs: np.ndarray, weights, top: int) -> list[float]:
+    """The walk one layer at a time, each layer from its own _layer_values."""
+    out = []
+    for w in range(top + 1):
+        parts, values = zonal._layer_values(eigs, w)
+        out.append(zonal._over_factorial(float(values @ weights(parts)), w))
+    return out
+
+
+@pytest.mark.parametrize("cached", ["none", "even weights", "all"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_chunked_walk_equals_one_layer_walk_bit_for_bit(monkeypatch, d, cached):
+    top = _WALK_TOP[d]
+    tables = _walk_tables()
+    start = {"none": (), "even weights": range(0, top + 1, 2), "all": range(top + 1)}[cached]
+    rng = np.random.default_rng(d)
+    eigs = np.sort(rng.uniform(0.2, 2.5, d))
+    factories = _walk_weights(d, (d - 1 + rng.uniform(0.25, 1.5)) / 2.0)
+    monkeypatch.setattr(zonal, "_LAYERS", dict(tables))
+    expected = [[v.hex() for v in _one_layer_walk(eigs, make(), top)] for make in factories]
+    monkeypatch.setattr(zonal, "_LAYERS", {(w, d): tables[w, d] for w in start})
+    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    # the first pass builds the missing tables and chunks, the second reuses them
+    for _ in range(2):
+        for make, ref in zip(factories, expected):
+            got = itertools.islice(zonal._weighted_layers(eigs, make()), top + 1)
+            assert [v.hex() for v in got] == ref, (d, cached)
+    assert zonal._CHUNKS  # the light early layers joined into chunks
+
+
+def test_walk_builds_exactly_the_tables_it_pulls(monkeypatch):
+    tables = _walk_tables()
+    d = 3
+    eigs = np.array([0.4, 0.9, 1.7])
+    for start in [(), range(0, 41, 2), range(21)]:
+        for pulled in (0, 1, 5, 13, 30, 41):
+            cached = {(w, d): tables[w, d] for w in start}
+            monkeypatch.setattr(zonal, "_LAYERS", dict(cached))
+            monkeypatch.setattr(zonal, "_CHUNKS", {})
+            list(itertools.islice(zonal._weighted_layers(eigs, measures._fd_kappas), pulled))
+            assert zonal._LAYERS.keys() == cached.keys() | {(w, d) for w in range(pulled)}, (start, pulled)
+
+
+@pytest.mark.filterwarnings("error")
+def test_walk_ahead_of_the_caller_overflows_without_a_warning(monkeypatch):
+    """Layers 11 and up overflow at these eigenvalues; a caller stopping at 8 sees nothing of them."""
+    tables = _walk_tables()
+    monkeypatch.setattr(zonal, "_LAYERS", {(w, 2): tables[w, 2] for w in range(21)})
+    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    eigs = np.array([1e30, 2e30])
+    assert len(zonal._chunk_data(0, 2)[3]) > 11  # the first chunk reaches past the overflow
+    ones = lambda parts: np.ones(len(parts))  # noqa: E731
+    got = list(itertools.islice(zonal._weighted_layers(eigs, ones), 9))
+    assert got == _one_layer_walk(eigs, ones, 8)
+    assert all(math.isfinite(v) for v in got)
+    assert exp_trace_partial_sum(eigs, 8) == sum(got)
+
+
+def test_walks_in_threads_equal_walks_in_one_thread(monkeypatch):
+    """Threads that share the table and chunk caches, and race to fill them, get the same bits."""
+    rng = np.random.default_rng(27)
+    points = [np.diag(rng.uniform(0.3, 1.5, d)) for d in (2, 3, 4) for _ in range(8)]
+    series = [density_fd, lambda t: density_m_fullrank(t, len(t) - 0.5)]
+    expected = [f(t).hex() for t in points for f in series]
+    monkeypatch.setattr(zonal, "_LAYERS", {})
+    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(6) as pool:
+            runs = [pool.submit(lambda: [f(t).hex() for t in points for f in series]) for _ in range(6)]
+            results = [run.result(timeout=120) for run in runs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(got == expected for got in results)
+    assert zonal._CHUNKS
+
+
+def test_fd_suite_reports_are_byte_identical_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(zonal, "_LAYERS", {})
+    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    cold = run_suite("fd", RunConfig(seed=0)).to_json(include_timing=False)
+    assert zonal._CHUNKS  # the later walks of the cold run already went by chunks
+    warm = run_suite("fd", RunConfig(seed=0)).to_json(include_timing=False)
+    assert cold == warm
+
 
 def test_zonal_lemma_checks_structure():
     x = np.diag([1.0, 2.0, 0.5])
