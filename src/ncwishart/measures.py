@@ -297,8 +297,8 @@ def laplace_ncw(s, params: NcwParams) -> float:
     """Laplace transform of NCW(n, w, sigma) at the symmetric matrix s.
 
     Requires I + 2 sigma s to be positive definite (always true for s in
-    the closed cone); raises DomainError otherwise, and when the value
-    exceeds the double range.
+    the closed cone); raises DomainError otherwise, when 2 sigma s or the
+    value exceeds the double range.
     """
     s = sym_entries(s, "s")
     d = params.dim
@@ -306,12 +306,16 @@ def laplace_ncw(s, params: NcwParams) -> float:
         raise ValueError("s has wrong dimension")
     sig_vals, sig_vecs = np.linalg.eigh(params.sigma)
     half = sig_vecs @ np.diag(np.sqrt(sig_vals)) @ sig_vecs.T
-    b = np.eye(d) + 2.0 * half @ s @ half
-    b_eigs = np.linalg.eigvalsh((b + b.T) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.eye(d) + 2.0 * half @ s @ half
+        b = (b + b.T) / 2.0
+        a = np.eye(d) + 2.0 * params.sigma @ s
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+        raise DomainError("2 sigma s exceeds the double range")
+    b_eigs = np.linalg.eigvalsh(b)
     if b_eigs[0] <= 0:
         raise DomainError("I + 2*sigma*s is not positive definite at this s")
     logdet = float(np.sum(np.log(b_eigs)))
-    a = np.eye(d) + 2.0 * params.sigma @ s
     x = np.linalg.solve(a, params.w)
     trace_term = 2.0 * float(np.trace(s @ x))
     return _exp_in_range(-(params.shape / 2.0) * logdet - trace_term, "transform")
@@ -329,7 +333,11 @@ def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     if s.shape[0] != d:
         raise ValueError(f"s must be {d}x{d}")
     logdet = float(np.sum(np.log(_pd_eigenvalues(s, "s"))))
-    inv = np.linalg.inv(s)
+    try:
+        inv = np.linalg.inv(s)
+    except np.linalg.LinAlgError:
+        # eigenvalues at roundoff level can pass as positive where LU meets a zero pivot
+        raise DomainError("s is numerically singular") from None
     trace_term = float(np.trace(inv[d - spec.rank :, d - spec.rank :])) if spec.rank else 0.0
     return _exp_in_range(-(spec.shape / 2.0) * logdet + trace_term, "transform")
 

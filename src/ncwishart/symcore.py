@@ -78,8 +78,13 @@ def sym_entries(m: "np.ndarray | Sequence", name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.T))) > _ASYM_REL_TOL * scale:
-        raise ValueError(f"{name} is not symmetric")
+    # past half the double range a - a.T and a + a.T may overflow: an
+    # infinite difference is asymmetry, and the halves sum exactly
+    with np.errstate(over="ignore"):
+        if float(np.max(np.abs(a - a.T))) > _ASYM_REL_TOL * scale:
+            raise ValueError(f"{name} is not symmetric")
+    if scale > np.finfo(float).max / 2.0:
+        return a / 2.0 + a.T / 2.0
     return (a + a.T) / 2.0
 
 

@@ -111,13 +111,23 @@ def _rng(config: RunConfig, check_id: int, item: int = 0) -> np.random.Generator
     return np.random.default_rng([config.seed & (2**64 - 1), check_id, item])
 
 
-def _map_items(config: RunConfig, items: Sequence, fn: Callable) -> list:
-    """Run fn over items, threaded when allowed; results kept in item order."""
+def _map_items(config: RunConfig, items: Sequence, fn: Callable, costs: Sequence[float]) -> list:
+    """Run fn over items, threaded when allowed; results kept in item order.
+
+    costs[i] estimates the time of fn(items[i]).  A pool takes the items
+    largest first, ties in item order, so that no large item starts last
+    (Graham, SIAM J. Appl. Math. 17, 1969).  Every item draws from its own
+    generator, so the order changes no result.
+    """
     workers = config.workers(len(items))
     if workers == 1:
         return [fn(it) for it in items]
+    order = sorted(range(len(items)), key=lambda i: -costs[i])
+    results = [None] * len(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        for i, result in zip(order, pool.map(fn, [items[i] for i in order])):
+            results[i] = result
+    return results
 
 
 def _gated(
@@ -439,7 +449,11 @@ def check_fd_split(config: RunConfig) -> list[CheckRecord]:
 
 
 def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
-    """Empirical and importance-weighted transforms against the closed forms."""
+    """Empirical and importance-weighted transforms against the closed forms.
+
+    The 10 NCW and 5 weighted items run as one pool map.  Every item takes
+    the same number of draws, so its cost is the normals per draw, n * d.
+    """
     n_draws = 10 * config.trials
 
     ncw_configs = []
@@ -461,8 +475,6 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
         closed = laplace_ncw(s, params)
         return abs(est.estimate - closed) / est.std_error
 
-    z_ncw = max(_map_items(config, ncw_configs, run_ncw))
-
     weighted_specs = [
         MeasureSpec(2.0, 1, 2),
         MeasureSpec(2.0, 2, 2),
@@ -480,14 +492,16 @@ def check_sampler_lt(config: RunConfig) -> list[CheckRecord]:
         closed = laplace_m(s, spec)
         return abs(est.estimate - closed) / est.std_error
 
-    z_weighted = max(_map_items(config, list(enumerate(weighted_specs)), run_weighted))
+    items = [(run_ncw, c) for c in ncw_configs] + [(run_weighted, c) for c in enumerate(weighted_specs)]
+    costs = [p.shape * p.dim for _, p, _ in ncw_configs] + [spec.shape * spec.dim for spec in weighted_specs]
+    z = _map_items(config, items, lambda item: item[0](item[1]), costs)
     return [
         _gated(
-            "sampler-lt-ncw", z_ncw, 4.0, Provenance.MONTE_CARLO,
+            "sampler-lt-ncw", max(z[:10]), 4.0, Provenance.MONTE_CARLO,
             f"10 random (s, w, sigma, n), d <= 4, N = {n_draws}",
         ),
         _gated(
-            "sampler-lt-weighted", z_weighted, 4.0, Provenance.MONTE_CARLO,
+            "sampler-lt-weighted", max(z[10:]), 4.0, Provenance.MONTE_CARLO,
             f"5 canonical measures at s > 0.6 I, N = {n_draws}",
         ),
     ]
@@ -506,26 +520,35 @@ def _singular_r_ratio(d: int, trials: int, rng: np.random.Generator) -> float:
 def check_rank_support(config: RunConfig) -> list[CheckRecord]:
     """Support statements as rank counts, and the structural zero of the rank-(d-1) part.
 
-    The 11 experiments run as pool items, each on its own (seed, 9, i)
+    The 11 experiments run as one pool map, each on its own (seed, 9, i)
     stream; their batched SVD and eigvalsh calls release the GIL.
     """
     trials = config.trials
     s3 = MeasureSpec(1.0, 1, 3)
+    # (i, cost, experiment).  The cost is draws * d^3, doubled for the SVD
+    # of items 0-2; the batched factorisations dominate.  At the default
+    # trials on one thread the items took, in ms (medians of 7 calls, in
+    # three processes): 0: 23-41, 1: 31-32, 2: 2.6, 3: 12.5-13.5,
+    # 4: 10-11, 5: 1.2-1.8, 6: 10-14, 7: 1.4-1.5, 12: 3.6-3.7,
+    # 13: 10.6-10.7, 14: 19.6-19.7.  The costs put 0 and 1 first and 2, 5,
+    # 7 and 12 last, as the times do; they tie 14 with 3, which takes two
+    # thirds of its time.
     experiments = [
-        (0, lambda rng: subspace_intersection_experiment(4, 2, 2, trials, rng)),
-        (1, lambda rng: subspace_intersection_experiment(5, 2, 3, trials, rng)),
-        (2, lambda rng: subspace_intersection_experiment(4, 2, 2, 2000, rng, degenerate_control=True)),
-        (3, lambda rng: rank_additivity_experiment(
+        (0, 2 * 4**3 * trials, lambda rng: subspace_intersection_experiment(4, 2, 2, trials, rng)),
+        (1, 2 * 5**3 * trials, lambda rng: subspace_intersection_experiment(5, 2, 3, trials, rng)),
+        (2, 2 * 4**3 * 2000, lambda rng: subspace_intersection_experiment(
+            4, 2, 2, 2000, rng, degenerate_control=True)),
+        (3, 4**3 * trials, lambda rng: rank_additivity_experiment(
             np.diag([1.0, 0, 0, 0]), np.diag([1.0, 1.0, 0, 0]), trials, rng).off_target(3)),
-        (4, lambda rng: rank_additivity_experiment(
+        (4, 3**3 * trials, lambda rng: rank_additivity_experiment(
             np.diag([1.0, 1.0, 0]), np.diag([1.0, 1.0, 0]), trials, rng).off_target(3)),
-        (5, lambda rng: rank_additivity_experiment(
+        (5, 3**3 * 2000, lambda rng: rank_additivity_experiment(
             np.diag([1.0, 1.0, 0]), np.zeros((3, 3)), 2000, rng).off_target(2)),
-        (6, lambda rng: convolution_support_experiment(s3, 1, trials, rng).off_target(2)),
-        (7, lambda rng: convolution_support_experiment(s3, 0, 2000, rng).off_target(1)),
-    ] + [(10 + d, lambda rng, d=d: _singular_r_ratio(d, trials, rng)) for d in (2, 3, 4)]
+        (6, 3**3 * trials, lambda rng: convolution_support_experiment(s3, 1, trials, rng).off_target(2)),
+        (7, 3**3 * 2000, lambda rng: convolution_support_experiment(s3, 0, 2000, rng).off_target(1)),
+    ] + [(10 + d, d**3 * trials, lambda rng, d=d: _singular_r_ratio(d, trials, rng)) for d in (2, 3, 4)]
     hit_a, hit_b, control, *add, conv_a, conv_b, r2, r3, r4 = _map_items(
-        config, experiments, lambda item: item[1](_rng(config, 9, item[0]))
+        config, experiments, lambda item: item[2](_rng(config, 9, item[0])), [item[1] for item in experiments]
     )
     return [
         _gated(

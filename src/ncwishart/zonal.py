@@ -135,7 +135,8 @@ def _gen_parts(remaining: int, max_part: int, slots: int) -> Iterator[tuple[int,
         return
     if slots == 0:
         return
-    for first in range(min(max_part, remaining), 0, -1):
+    # slots parts of at most first each must hold remaining
+    for first in range(min(max_part, remaining), -(-remaining // slots) - 1, -1):
         for rest in _gen_parts(remaining - first, first, slots - 1):
             yield (first,) + rest
 
@@ -227,14 +228,16 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
     row is then scaled by its hook norm (:func:`_hook_norms`).
 
     Everything but the recurrence itself is built for the whole table at
-    once: the transfers, rho, the hook norms, and an n x n dominance mask
-    from one comparison of cumulative sums per part position.  The columns
-    are then filled in order, every mu a transfer reaches preceding lam:
-    each takes the earlier rows of its mask row, which are the rows that
-    strictly dominate lam, and costs one gather, one matrix-vector product
-    and one division.  Folding several columns into one product would
-    change the rounding.  The recurrence has positive terms only, so the
-    float entries are forward stable.
+    once: the transfers, rho, the hook norms, an n x n dominance mask
+    from one comparison of cumulative sums per part position, and, from
+    one ``np.nonzero`` of its strictly lower triangle, the rows that
+    strictly dominate each lam, their denominators and their offsets in
+    the raveled matrix.  The columns are then filled in order, every mu a
+    transfer reaches preceding lam: each costs one ``take``, one
+    matrix-vector product, one division and one flat store.  Folding
+    several columns into one product would change the rounding.  The
+    recurrence has positive terms only, so the float entries are forward
+    stable.
     """
     kappas = list(_gen_parts(weight, weight, min(max_length, weight)))
     n = len(kappas)
@@ -246,11 +249,18 @@ def _coeff_matrix(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray
         dominated &= cum[None, :, c] >= cum[:, c, None]
     rho = (padded * (padded - np.arange(1, width + 1))).sum(axis=1).astype(float)
     mu_idx, coefs, bounds = _table_transfers(padded, weight)
+    # every (lam, kappa) with kappa earlier than and dominating lam, lam-major
+    lams, rows = np.nonzero(np.tri(n, k=-1, dtype=bool) & dominated)
+    denoms = rho[rows] - rho[lams]
+    bases = rows * n  # offsets of the rows in the raveled matrix
+    ends = np.searchsorted(lams, np.arange(n + 1)).tolist()
     coeff = np.eye(n)
+    flat = coeff.reshape(-1)
     for li in range(1, n):
-        rows = np.flatnonzero(dominated[li, :li])
+        r = slice(ends[li], ends[li + 1])
         t = slice(bounds[li], bounds[li + 1])
-        coeff[rows, li] = (coeff[rows[:, None], mu_idx[t]] @ coefs[t]) / (rho[rows] - rho[li])
+        gathered = flat.take(bases[r, None] + mu_idx[t])
+        flat[bases[r] + li] = (gathered @ coefs[t]) / denoms[r]
     coeff *= _hook_norms(padded, weight)[:, None]
     return kappas, coeff
 

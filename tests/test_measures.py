@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -439,6 +440,87 @@ def test_zonal_series_are_orthogonally_invariant(d, data):
     ]:
         at_x, at_y = series(x), series(y)
         assert abs(at_x - at_y) <= bound * abs(at_x), (name, at_x, at_y, bound)
+
+
+# Hostile inputs for the densities and transforms.  Each call returns a
+# finite value or raises DomainError, TruncationError or ValueError, with
+# no numpy warning.  The ranges, fixed before the first run:
+#   - d in 1..4, shape in [0.25, d + 3], rank in 0..d;
+#   - the base matrix q diag(eigs) q^T, eigs in [0.5, 2], q a random
+#     rotation or the identity (exact eigenvalues);
+#   - "nan", "inf", "-inf": one entry and its mirror replaced;
+#   - "tiny": the smallest 1..d eigenvalues set to 10^-u, u in [1, 300];
+#   - "huge": the matrix scaled by 10^u, u in [250, 307.9];
+#   - "asymmetric": one off-diagonal entry moved on one side by a relative
+#     10^-u, u in [1, 16] (at d = 1 the matrix stays as it is).
+# laplace_ncw takes the hostile matrix as s or as sigma, with w = 0.3 v v^T
+# of rank one and the other argument the identity.
+_HOSTILE_KINDS = ("nan", "inf", "-inf", "tiny", "huge", "asymmetric")
+
+
+def _hostile_matrix(data, d: int) -> np.ndarray:
+    kind = data.draw(st.sampled_from(_HOSTILE_KINDS))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    eigs = np.sort(rng.uniform(0.5, 2.0, d))
+    if kind == "tiny":
+        small = data.draw(st.integers(1, d))
+        eigs[:small] = 10.0 ** -np.array(data.draw(st.lists(st.floats(1.0, 300.0), min_size=small, max_size=small)))
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0] if data.draw(st.booleans()) else np.eye(d)
+    x = q @ np.diag(eigs) @ q.T
+    i, j = sorted(rng.integers(0, d, size=2))
+    if kind in ("nan", "inf", "-inf"):
+        x[i, j] = x[j, i] = float(kind)
+    elif kind == "huge":
+        x *= 10.0 ** data.draw(st.floats(250.0, 307.9))
+    elif kind == "asymmetric" and d > 1:
+        i, j = (0, 1) if i == j else (i, j)
+        x[i, j] += abs(x[i, j]) * 10.0 ** -data.draw(st.floats(1.0, 16.0)) + 1e-300
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(min_value=1, max_value=4), data=st.data())
+def test_densities_and_transforms_raise_only_typed_errors_on_hostile_input(d, data):
+    x = _hostile_matrix(data, d)
+    shape = data.draw(st.floats(0.25, d + 3.0))
+    rank = data.draw(st.integers(0, d))
+    v = np.arange(1.0, d + 1.0)[:, None]
+    name, call = data.draw(st.sampled_from([
+        ("density_m_fullrank", lambda: density_m_fullrank(x, shape)),
+        ("density_fd", lambda: density_fd(x)),
+        ("laplace_m", lambda: laplace_m(x, (shape, rank, d))),
+        ("laplace_ncw s", lambda: laplace_ncw(x, NcwParams(shape, 0.3 * v @ v.T))),
+        ("laplace_ncw sigma", lambda: laplace_ncw(np.eye(d), NcwParams(shape, 0.3 * v @ v.T, x))),
+        ("lt_fd_series", lambda: lt_fd_series(x, d)),
+        ("singular_r_laplace", lambda: singular_r_laplace(x, d)),
+    ]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = call()
+        except (DomainError, TruncationError, ValueError):
+            return
+    assert math.isfinite(value), (name, value)
+
+
+def test_entries_past_half_the_double_range_warn_nowhere():
+    # a + a.T and I + 2 sigma s overflow here; both used to warn first
+    x = np.diag([5e307, 1.2e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(sym_entries(x), x)
+        with pytest.raises(DomainError, match="2 sigma s"):
+            laplace_ncw(x, NcwParams(2.0, np.eye(2)))
+        # det x is past the double range and the transform below it
+        assert laplace_m(x, (2.0, 1, 2)) == 0.0
+
+
+def test_laplace_m_of_a_numerically_singular_s_is_a_domain_error():
+    # a rotated diag(1.6e-40, 1.9): eigvalsh finds the smallest eigenvalue
+    # 5.6e-17 > 0, LU a zero pivot
+    s = np.array([[0.23362166729767184, 0.6225006509233628], [0.6225006509233629, 1.6586948671428825]])
+    with pytest.raises(DomainError, match="numerically singular"):
+        laplace_m(s, (2.0, 1, 2))
 
 
 def test_split_transform_reassembles_laplace_m(rng):

@@ -108,6 +108,57 @@ def test_run_suite_calls_every_check_in_order_on_the_calling_thread(monkeypatch)
     assert calls == [(name, threading.get_ident()) for name in verify.CHECKS]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_map_items_returns_results_in_item_order_calling_each_item_once(threads):
+    calls = []
+    lock = threading.Lock()
+
+    def fn(item):
+        with lock:
+            calls.append(item)
+        return item * item
+
+    items = list(range(7))
+    out = verify._map_items(RunConfig(threads=threads), items, fn, [3, 9, 1, 9, 0, 5, 2])
+    assert out == [i * i for i in items]
+    assert sorted(calls) == items
+
+
+def test_map_items_submits_the_largest_cost_first(monkeypatch):
+    submitted = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            submitted.extend(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", Pool)
+    out = verify._map_items(RunConfig(threads=2), list("abcdefg"), str.upper, [3, 9, 1, 9, 0, 5, 2])
+    assert submitted == list("bdfagce")  # ties in item order
+    assert out == list("ABCDEFG")
+
+
+def test_pool_order_changes_no_monte_carlo_record(monkeypatch):
+    config = RunConfig(seed=3, trials=500, threads=2)
+    checks = (verify.check_sampler_lt, verify.check_rank_support)
+    largest_first = [[rec.to_dict() for rec in check(config)] for check in checks]
+    map_items = verify._map_items
+    # costs that submit the items in the reverse of item order
+    monkeypatch.setattr(
+        verify, "_map_items", lambda config, items, fn, costs: map_items(config, items, fn, range(len(items)))
+    )
+    assert [[rec.to_dict() for rec in check(config)] for check in checks] == largest_first
+
+
 def test_run_config_workers_count_the_cpus_the_process_may_run_on(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)

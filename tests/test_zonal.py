@@ -206,6 +206,26 @@ def test_partitions_of_weight_enumeration():
     assert [p.parts for p in partitions_of_weight(0)] == [()]
 
 
+def _partitions_unpruned(remaining: int, max_part: int, slots: int):
+    """Every first part from the largest down, dead ends included."""
+    if remaining == 0:
+        yield ()
+        return
+    if slots == 0:
+        return
+    for first in range(min(max_part, remaining), 0, -1):
+        for rest in _partitions_unpruned(remaining - first, first, slots - 1):
+            yield (first,) + rest
+
+
+def test_partitions_of_weight_equal_an_unpruned_enumeration():
+    for weight in range(26):
+        for max_length in [None, *range(1, 9)]:
+            slots = weight if max_length is None else min(max_length, weight)
+            got = [p.parts for p in partitions_of_weight(weight, max_length)]
+            assert got == list(_partitions_unpruned(weight, weight, slots)), (weight, max_length)
+
+
 def test_coefficient_table_weight_two_exact():
     tab = _exact_table(2, 2)
     assert tab[(2,)] == {(2,): F(1), (1, 1): F(2, 3)}
@@ -281,6 +301,37 @@ def test_coeff_matrix_equals_column_loop_bit_for_bit():
     for weight, max_length in _BUILD_CASES:
         kappas, coeff = zonal._coeff_matrix(weight, max_length)
         ref_kappas, ref = _coeff_matrix_loop(weight, max_length)
+        assert kappas == ref_kappas, (weight, max_length)
+        assert coeff.tobytes() == ref.tobytes(), (weight, max_length)
+
+
+def _coeff_matrix_columns(weight: int, max_length: int) -> tuple[list[tuple], np.ndarray]:
+    """The per-column form of :func:`zonal._coeff_matrix`.
+
+    The same transfers, rho and hook norms; each column finds its
+    dominating rows in its own mask row, gathers by fancy indexing and
+    forms its own denominators.
+    """
+    kappas, padded = _padded_table(weight, max_length)
+    n, width = padded.shape
+    cum = np.cumsum(padded, axis=1)
+    dominated = np.all(cum[None, :, :] >= cum[:, None, :], axis=2)  # [lam, kappa]
+    rho = (padded * (padded - np.arange(1, width + 1))).sum(axis=1).astype(float)
+    mu_idx, coefs, bounds = zonal._table_transfers(padded, weight)
+    coeff = np.eye(n)
+    for li in range(1, n):
+        rows = np.flatnonzero(dominated[li, :li])
+        t = slice(bounds[li], bounds[li + 1])
+        coeff[rows, li] = (coeff[rows[:, None], mu_idx[t]] @ coefs[t]) / (rho[rows] - rho[li])
+    coeff *= zonal._hook_norms(padded, weight)[:, None]
+    return kappas, coeff
+
+
+def test_coeff_matrix_equals_per_column_lookups_bit_for_bit():
+    cases = [(w, l) for l in (1, 2, 3) for w in range(41)] + [(w, 4) for w in range(25)] + [(w, 5) for w in range(21)]
+    for weight, max_length in cases:
+        kappas, coeff = zonal._coeff_matrix(weight, max_length)
+        ref_kappas, ref = _coeff_matrix_columns(weight, max_length)
         assert kappas == ref_kappas, (weight, max_length)
         assert coeff.tobytes() == ref.tobytes(), (weight, max_length)
 
