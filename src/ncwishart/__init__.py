@@ -53,7 +53,6 @@ from .measures import (
     faa_di_bruno_check,
 )
 from .samplers import (
-    MeanDecomposition,
     RankExceedsShapeError,
     WeightedSample,
     decompose_w,
@@ -118,7 +117,6 @@ __all__ = [
     "m111_density",
     "faa_di_bruno_check",
     # samplers
-    "MeanDecomposition",
     "RankExceedsShapeError",
     "WeightedSample",
     "decompose_w",

@@ -297,8 +297,11 @@ def laplace_ncw(s, params: NcwParams) -> float:
     """Laplace transform of NCW(n, w, sigma) at the symmetric matrix s.
 
     Requires I + 2 sigma s to be positive definite (always true for s in
-    the closed cone); raises DomainError otherwise, when 2 sigma s or the
-    value exceeds the double range.
+    the closed cone); raises DomainError otherwise, and when the value
+    exceeds the double range.  Where I + 2 sigma s itself leaves the double
+    range, s is divided by a power of two 2^e, which is exact, and the
+    transform is read from I / 2^e + 2 sigma s / 2^e: its log-determinant
+    gains d e log 2, and s (I + 2 sigma s)^-1 is unchanged.
     """
     s = sym_entries(s, "s")
     d = params.dim
@@ -306,16 +309,24 @@ def laplace_ncw(s, params: NcwParams) -> float:
         raise ValueError("s has wrong dimension")
     sig_vals, sig_vecs = np.linalg.eigh(params.sigma)
     half = sig_vecs @ np.diag(np.sqrt(sig_vals)) @ sig_vecs.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        b = np.eye(d) + 2.0 * half @ s @ half
-        b = (b + b.T) / 2.0
-        a = np.eye(d) + 2.0 * params.sigma @ s
-    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(a))):
+    unit, scale = np.eye(d), 0
+    for _ in range(2):  # the second pass, at a scale, only past the double range
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = unit + 2.0 * half @ s @ half
+            b = (b + b.T) / 2.0
+            a = unit + 2.0 * params.sigma @ s
+        if np.all(np.isfinite(b)) and np.all(np.isfinite(a)):
+            break
+        # the entries of half s half are below d^3 max|sigma| max|s|, so
+        # this scale puts 2 half s half and 2 sigma s below 2^1021
+        scale = math.frexp(np.abs(s).max())[1] + math.frexp(np.abs(params.sigma).max())[1] + 3 * d.bit_length() - 1020
+        s, unit = np.ldexp(s, -scale), np.ldexp(unit, -scale)
+    else:
         raise DomainError("2 sigma s exceeds the double range")
     b_eigs = np.linalg.eigvalsh(b)
     if b_eigs[0] <= 0:
         raise DomainError("I + 2*sigma*s is not positive definite at this s")
-    logdet = float(np.sum(np.log(b_eigs)))
+    logdet = float(np.sum(np.log(b_eigs))) + d * scale * math.log(2.0)
     x = np.linalg.solve(a, params.w)
     trace_term = 2.0 * float(np.trace(s @ x))
     return _exp_in_range(-(params.shape / 2.0) * logdet - trace_term, "transform")
@@ -359,7 +370,6 @@ class CanonicalReduction:
     rank: int
     shape: float
     dim: int
-    m_eigenvalues: tuple[float, ...]
     warning: str | None = None
 
     def spec(self) -> MeasureSpec:
@@ -407,7 +417,6 @@ def reduce_to_canonical(params: NcwParams) -> CanonicalReduction:
         rank=k,
         shape=params.shape,
         dim=d,
-        m_eigenvalues=tuple(float(v) for v in vals),
         warning=warning,
     )
 

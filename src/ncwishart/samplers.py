@@ -30,7 +30,6 @@ from .zonal import McEstimate, _conjugate, _mc_mean
 
 __all__ = [
     "RANK_EVENT_TOL",
-    "MeanDecomposition",
     "RankExceedsShapeError",
     "RankHistogram",
     "WeightedSample",
@@ -69,36 +68,11 @@ class RankExceedsShapeError(ValueError):
     """
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class MeanDecomposition:
-    """Rows m_1, ..., m_n with sum_i m_i m_i^T equal to the decomposed matrix."""
-
-    means: np.ndarray
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        if means.ndim != 2:
-            raise ValueError("means must be a 2-D array, one vector per row")
-        if not np.all(np.isfinite(means)):
-            raise ValueError("means must be finite")
-        object.__setattr__(self, "means", means)
-
-    @property
-    def count(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
-
-    def assemble(self) -> np.ndarray:
-        """Reassemble sum_i m_i m_i^T for residual checks."""
-        return self.means.T @ self.means
-
-
-def decompose_w(w, n: int) -> MeanDecomposition:
+def decompose_w(w, n: int) -> np.ndarray:
     """Split a positive semidefinite matrix into n rank-one mean terms.
 
+    Returns the (n, d) array of rows m_1, ..., m_n, with
+    sum_i m_i m_i^T = means.T @ means equal to w up to roundoff.
     Eigendecomposition-based: the eigenpairs above the rank tolerance give
     m_i = sqrt(lambda_i) v_i in ascending eigenvalue order, padded with
     zero vectors to length n.  The signs of the m_i are those of the
@@ -116,7 +90,7 @@ def decompose_w(w, n: int) -> MeanDecomposition:
     d = vals.size
     means = np.zeros((n, d))
     means[:rank] = np.sqrt(vals[d - rank :])[:, None] * vecs[:, d - rank :].T
-    return MeanDecomposition(means)
+    return means
 
 
 def _integer_shape(shape: float) -> int:
@@ -179,7 +153,7 @@ def ncw_sample(params: NcwParams, n_draws: int, rng: np.random.Generator) -> np.
     """
     n = _integer_shape(params.shape)
     n_draws = _count(n_draws, "n_draws")
-    means = decompose_w(2.0 * params.w, n).means
+    means = decompose_w(2.0 * params.w, n)
     sig_vals = np.linalg.eigvalsh(params.sigma)
     if sig_vals[0] <= 0.0 or sig_vals[-1] > _MAX_SIGMA_CONDITION * sig_vals[0]:
         raise DomainError("sigma is numerically singular (condition > 1e12)")
@@ -234,7 +208,7 @@ def _m_measure_stack(
         raise DomainError(f"rank index k = {k} exceeds the integer shape n = {n}")
     n_draws = _count(n_draws, "n_draws")
     # NCW(n, 2 I(k,d), I_d): the means decompose 2 w = 4 I(k,d)
-    means = decompose_w(4.0 * spec.indicator(), n).means
+    means = decompose_w(4.0 * spec.indicator(), n)
     draws = _gaussian_sum_stack(means, np.eye(d), n_draws, rng)
     log_w = 0.5 * d * n * math.log(2.0) + 2.0 * k + 0.5 * np.trace(draws)
     return draws, log_w

@@ -30,8 +30,9 @@ import itertools
 import math
 import operator
 import sys
+import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -305,56 +306,109 @@ def _group_compositions(comps: np.ndarray, weight: int) -> np.ndarray:
     return np.unique(desc @ radix, return_inverse=True)[1]
 
 
-_LAYERS: dict[tuple[int, int], tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+class _Ladder(NamedTuple):
+    """Evaluation data of the weight layers 0..top of one dimension d.
 
+    Every array holds the layers one after another, in weight order, each
+    layer in table order:
 
-def _layer_data(
-    weight: int, d: int
-) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cached evaluation data of one weight layer in dimension d.
-
-    Returns the kappas in table order, their parts padded with zeros to
-    length d (a kappa x d integer array), the float64 coefficient matrix
-    (kappa x lam, column-major, with the lam columns in the reverse of the
-    table order, which is the order of ``np.unique``), the compositions of
-    *weight* into d slots as flat indices a_i + (weight + 1) i into the
-    raveled d x (weight + 1) table of eigenvalue powers (one column per
-    composition; ``uint16`` whenever it fits), and for each composition the
-    column index of the partition it sorts to.  m_lam(x) is the sum of prod_i x_i^a_i over the compositions
-    a that sort to lam.
+    * *parts*: the kappas padded with zeros to length d (kappa x d ints);
+    * *coeffs*: per layer, the float64 coefficient matrix (kappa x lam,
+      column-major, with the lam columns in the reverse of the table order,
+      which is the order of ``np.unique``);
+    * *flat*: every composition of each weight into d slots, one column
+      each, as flat indices a_i d + i into a raveled table of eigenvalue
+      powers with one row per exponent and one column per slot, so no index
+      depends on how many rows the table has (``uint16`` whenever it fits);
+    * *lam_index*: for each composition, the monomial it sorts to, numbered
+      across the layers; m_lam(x) is the sum of prod_i x_i^a_i over the
+      compositions a that sort to lam;
+    * *rows* and *cols*: the offsets of each layer's kappas (equally, its
+      monomials) and of its compositions, top + 2 of each;
+    * *exponents*: 0..top as floats, shape (top + 1, 1, 1), the rows of
+      the power table.
     """
-    key = (weight, d)
-    data = _LAYERS.get(key)
-    if data is not None:
-        return data
-    kappas, coeff = _coeff_matrix(weight, min(d, weight))
-    parts = np.array([k + (0,) * (d - len(k)) for k in kappas], dtype=np.intp)
-    comps = _compositions(weight, d)
-    lam_index = _group_compositions(comps, weight)
-    # column-major: the memory order picks the BLAS kernel of the products
-    # with the monomials, and so their rounding
-    coeff = coeff[:, ::-1].copy(order="F")
-    stride = weight + 1
-    flat = comps.T + stride * np.arange(d)[:, None]
-    flat = flat.astype(np.uint16 if stride * d <= 2**16 else np.intp)
-    data = (kappas, parts, coeff, flat, lam_index)
-    _LAYERS[key] = data
-    return data
+
+    parts: np.ndarray
+    coeffs: tuple[np.ndarray, ...]
+    flat: np.ndarray
+    lam_index: np.ndarray
+    rows: list[int]
+    cols: list[int]
+    exponents: np.ndarray
 
 
-def _monomials(eigs: np.ndarray, top: int, flat: np.ndarray, lam_index: np.ndarray, n_mono: int) -> np.ndarray:
-    """The monomials m_lam of one eigenvalue vector, for one or more layers.
+# d -> the cached layers 0..top of dimension d, for the largest top built yet
+_LADDERS: dict[int, _Ladder] = {}
+_LADDERS_LOCK = threading.Lock()
 
-    *flat* indexes the raveled d x (top + 1) table of eigenvalue powers, one
-    column per composition, and *lam_index* gives each composition its
-    monomial among *n_mono*.  Every composition's product runs over the d
-    rows in order and every monomial sums its compositions in column order,
-    so a layer's monomials have the same bits whether its compositions are
-    gathered alone or after other layers' in one concatenated index.
+
+def _ladder(top: int, d: int) -> _Ladder:
+    """The cached layers of dimension d, through weight *top* at least.
+
+    Missing layers are built, and only those: from the first weight the
+    cache lacks up to *top*, each from its :func:`_coeff_matrix`.  They are
+    appended to copies of the cached arrays, so a cache that a caller holds
+    never changes.  Of two threads growing the cache of one d at a time, the
+    one that ends with more layers is kept.
     """
-    powers = eigs[:, None] ** np.arange(top + 1)
-    terms = np.multiply.reduce(powers.ravel().take(flat), axis=0)
-    return np.bincount(lam_index, weights=terms, minlength=n_mono)
+    ladder = _LADDERS.get(d)
+    if ladder is not None and len(ladder.coeffs) > top:
+        return ladder
+    if ladder is None:
+        parts, coeffs, flat, lam_index, rows, cols = [], [], [], [], [0], [0]
+    else:
+        parts, coeffs, flat, lam_index = [ladder.parts], list(ladder.coeffs), [ladder.flat], [ladder.lam_index]
+        rows, cols = list(ladder.rows), list(ladder.cols)
+    index_type = np.uint16 if (top + 1) * d <= 2**16 else np.intp
+    for weight in range(len(coeffs), top + 1):
+        kappas, coeff = _coeff_matrix(weight, min(d, weight))
+        comps = _compositions(weight, d)
+        parts.append(np.array([k + (0,) * (d - len(k)) for k in kappas], dtype=np.intp))
+        # column-major: the memory order picks the BLAS kernel of the products
+        # with the monomials, and so their rounding
+        coeffs.append(coeff[:, ::-1].copy(order="F"))
+        flat.append((comps.T * d + np.arange(d)[:, None]).astype(index_type))
+        lam_index.append(_group_compositions(comps, weight) + rows[-1])
+        rows.append(rows[-1] + len(kappas))
+        cols.append(cols[-1] + len(comps))
+    grown = _Ladder(
+        np.concatenate(parts),
+        tuple(coeffs),
+        np.concatenate(flat, axis=1),
+        np.concatenate(lam_index),
+        rows,
+        cols,
+        np.arange(top + 1.0)[:, None, None],
+    )
+    with _LADDERS_LOCK:
+        current = _LADDERS.get(d)
+        if current is None or len(current.coeffs) < len(grown.coeffs):
+            _LADDERS[d] = current = grown
+    return current
+
+
+def _monomials(points: np.ndarray, ladder: _Ladder, start: int, stop: int) -> np.ndarray:
+    """The monomials m_lam of layers start..stop - 1 at each of N points.
+
+    *points* has shape (N, d).  The result is flat and point major: the
+    monomials of the first point, then those of the next.  The powers
+    x_i^a for a < stop form a raveled stop x d table per point, the points
+    along a last axis, which the ladder's flat indices address.  Every
+    composition's product runs over the d slots in order and every monomial
+    sums its compositions in index order, so a layer's monomials have the
+    same bits whichever layers and points they are gathered with.
+    """
+    n, d = points.shape
+    _, _, flat, lam_index, rows, cols, exponents = ladder
+    comps = slice(cols[start], cols[stop])
+    first, n_mono = rows[start], rows[stop] - rows[start]
+    powers = (points.T ** exponents[:stop]).reshape(-1, n)
+    terms = np.multiply.reduce(powers.take(flat[:, comps], axis=0).reshape(d, -1), axis=0)
+    index = lam_index[comps]
+    if n > 1:  # point k's monomials go to bins first + k * n_mono onwards; one point's need no offset
+        index = (index[:, None] + np.arange(0, n * n_mono, n_mono)).ravel()
+    return np.bincount(index, weights=terms, minlength=first + n * n_mono)[first:]
 
 
 def _layer_values(eigs: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -362,24 +416,17 @@ def _layer_values(eigs: np.ndarray, weight: int) -> tuple[np.ndarray, np.ndarray
 
     *eigs* is one eigenvalue vector of length d, or a stack of N of them,
     shape (N, d), for which the values come one row per point, shape
-    (N, kappa).  All monomials m_lam come from one flat gather-and-product
-    over the compositions of the weight into d slots (for one point, the
-    one-layer case of :func:`_monomials`); the cached coefficient matrix of
-    :func:`_coeff_matrix` turns them into the C_kappa values with one
-    matrix-vector product per point, so each row of a stack equals the call
-    on that point alone, bit for bit.
+    (N, kappa).  The monomials come from :func:`_monomials`, and the cached
+    coefficient matrix of :func:`_coeff_matrix` turns them into the C_kappa
+    values with one matrix-vector product per point, so each row of a
+    stack equals the call on that point alone, bit for bit.
     """
-    _, parts, coeff, flat, lam_index = _layer_data(weight, eigs.shape[-1])
-    if eigs.ndim == 1:
-        return parts, coeff @ _monomials(eigs, weight, flat, lam_index, coeff.shape[1])
-    # the same gather with the points along a last axis; the points bin into
-    # consecutive blocks of n_lam monomials
-    n, n_lam = eigs.shape[0], coeff.shape[1]
-    powers = eigs.T[:, None] ** np.arange(weight + 1)[:, None]
-    terms = np.multiply.reduce(powers.reshape(-1, n).take(flat, axis=0), axis=0)
-    index = lam_index[:, None] + n_lam * np.arange(n)
-    mono = np.bincount(index.ravel(), weights=terms.ravel(), minlength=n * n_lam)
-    return parts, (coeff @ mono.reshape(n, n_lam, 1))[..., 0]
+    ladder = _ladder(weight, eigs.shape[-1])
+    points = eigs.reshape(-1, eigs.shape[-1])
+    mono = _monomials(points, ladder, weight, weight + 1).reshape(len(points), -1, 1)
+    values = (ladder.coeffs[weight] @ mono)[..., 0]
+    parts = ladder.parts[ladder.rows[weight] : ladder.rows[weight + 1]]
+    return parts, values.reshape(eigs.shape[:-1] + (-1,))
 
 
 def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
@@ -391,12 +438,11 @@ def zonal_layer(x, weight: int) -> dict[tuple[int, ...], float]:
     numpy warning.
     """
     eigs = _eigenvalues_of(x)
-    kappas = _layer_data(weight, eigs.size)[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        _, values = _layer_values(eigs, weight)
+        parts, values = _layer_values(eigs, weight)
     if not np.isfinite(values).all():
         raise DomainError(f"the zonal layer of weight {weight} leaves the double range")
-    return dict(zip(kappas, values.tolist()))
+    return {tuple(m for m in row if m): value for row, value in zip(parts.tolist(), values.tolist())}
 
 
 def zonal_C(x, kappa: Partition | Iterable[int]) -> float:
@@ -536,57 +582,6 @@ _CHUNK_COMPOSITIONS = 2048
 # On the same mix, 8 layers took 185 us and 12 or more 163 us.
 _CHUNK_LAYERS = 12
 
-# (start, d) -> the concatenated evaluation data of the chunk that starts at
-# layer *start*: the longest one the cached tables allow, as tables only
-# ever join _LAYERS
-_CHUNKS: dict[tuple[int, int], tuple] = {}
-
-
-def _chunk_data(
-    start: int, d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, np.ndarray], ...]]:
-    """Evaluation data of the run of layers that the walk takes from *start* on.
-
-    The run is layer *start* followed by the consecutive layers whose tables
-    are already in ``_LAYERS``, up to ``_CHUNK_LAYERS`` layers and
-    ``_CHUNK_COMPOSITIONS`` compositions in all.  A cold table at *start*
-    is built, since the caller has asked for that layer, and then the run
-    is that layer alone: no table is ever built ahead of the caller.
-
-    Returns the compositions of the run, stop = start + its length, as
-    flat indices into one raveled d x stop table of eigenvalue powers,
-    their monomial indices with each layer's after the previous layer's, the
-    stacked padded parts, and (weight, coefficient matrix) per layer.  A
-    one-layer run is the layer's own data; a longer one is cached in
-    ``_CHUNKS`` until a longer run from the same start replaces it.
-    """
-    cached = (start, d) in _LAYERS
-    _, parts, coeff, flat, lam_index = _layer_data(start, d)
-    stop, n_comps = start + 1, flat.shape[1]
-    while cached and stop - start < _CHUNK_LAYERS and (stop, d) in _LAYERS:
-        n_comps += _LAYERS[stop, d][3].shape[1]
-        if n_comps > _CHUNK_COMPOSITIONS:
-            break
-        stop += 1
-    if stop == start + 1:
-        return flat, lam_index, parts, ((start, coeff),)
-    data = _CHUNKS.get((start, d))
-    if data is None or len(data[3]) != stop - start:
-        layers = {w: _LAYERS[w, d] for w in range(start, stop)}
-        # re-stride each layer's a_i + (w + 1) i to a_i + stop i
-        rows = np.arange(d)[:, None]
-        flat = np.concatenate([lay[3] + (stop - w - 1) * rows for w, lay in layers.items()], axis=1)
-        offsets = itertools.accumulate((len(lay[1]) for lay in layers.values()), initial=0)
-        data = (
-            flat.astype(np.uint16 if stop * d <= 2**16 else np.intp),
-            np.concatenate([lay[4] + off for lay, off in zip(layers.values(), offsets)]),
-            np.concatenate([lay[1] for lay in layers.values()]),
-            tuple((w, lay[2]) for w, lay in layers.items()),
-        )
-        _CHUNKS[start, d] = data
-    return data
-
-
 def _weighted_layers(eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarray]) -> Iterator[float]:
     """Yield sum_kappa weight_kappa C_kappa(eigs) / w! for w = 0, 1, 2, ...
 
@@ -596,32 +591,39 @@ def _weighted_layers(eigs: np.ndarray, weights: Callable[[np.ndarray], np.ndarra
     is the dot product of those weights with its C_kappa values, divided by
     w! through :func:`_over_factorial`.
 
-    The walk goes a chunk of consecutive layers at a time
-    (:func:`_chunk_data`): one table of eigenvalue powers, one gather of
-    the monomials (:func:`_monomials`) and one *weights* call per chunk,
-    then per layer the product with its coefficient matrix, the dot with
-    its weights and the division, the same operations as a walk of one
-    layer at a time and so the same bits.  A chunk only joins layers whose
-    tables are already cached: layer values may be computed ahead of the
-    caller, without a numpy warning for those that overflow, but a table is
-    built only when the caller asks for its layer.  The walk never ends by
-    itself; the caller decides where to stop, and checks that the layers it
-    takes are finite.
+    The walk goes a chunk of consecutive cached layers at a time: one
+    gather of the monomials (:func:`_monomials`) and one *weights* call per
+    chunk, then per layer the product with its coefficient matrix, the dot
+    with its weights and the division, the same operations as a walk of one
+    layer at a time and so the same bits.  A chunk is the layers of the
+    cache (:func:`_ladder`) from the next one on, up to ``_CHUNK_LAYERS``
+    layers and ``_CHUNK_COMPOSITIONS`` compositions, or the next layer alone
+    when the cache ends before it.  So layer values may be computed ahead
+    of the caller, without a numpy warning for those that overflow, but a
+    table is built only when the caller asks for its layer.  The walk never
+    ends by itself; the caller decides where to stop, and checks that the
+    layers it takes are finite.
     """
     d = eigs.size
+    points = eigs.reshape(1, d)
     start = 0
     while True:
-        flat, lam_index, parts, layers = _chunk_data(start, d)
+        ladder = _ladder(start, d)
+        cols, stop = ladder.cols, start + 1
+        last = min(len(ladder.coeffs), start + _CHUNK_LAYERS)
+        while stop < last and cols[stop + 1] - cols[start] <= _CHUNK_COMPOSITIONS:
+            stop += 1
         # layers past the caller's stop may overflow here: silently
         with np.errstate(over="ignore", invalid="ignore"):
-            mono = _monomials(eigs, start + len(layers) - 1, flat, lam_index, len(parts))
-            chunk_weights = weights(parts)
+            mono = _monomials(points, ladder, start, stop)
+            chunk_weights = weights(ladder.parts[ladder.rows[start] : ladder.rows[stop]])
         lo = 0
-        for w, coeff in layers:
+        for w in range(start, stop):
+            coeff = ladder.coeffs[w]
             hi = lo + coeff.shape[0]
             yield _over_factorial(float((coeff @ mono[lo:hi]) @ chunk_weights[lo:hi]), w)
             lo = hi
-        start += len(layers)
+        start = stop
 
 
 def exp_trace_partial_sum(x, weight_cutoff: int) -> float:
@@ -813,23 +815,6 @@ def _mc_mean(values: np.ndarray) -> McEstimate:
 _MC_BATCH = 16384
 
 
-def _haar_conjugates(
-    a: np.ndarray, n: int, rng: np.random.Generator
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """u a u^T for n Haar draws u on O(d), batch by batch.
-
-    a is one symmetric d x d matrix.  Yields (s, y) for consecutive slices s
-    of at most ``_MC_BATCH`` draws, with y the conjugates of those draws,
-    entries first (see :func:`_conjugate`).  The batches take their normals
-    from rng one after another, which gives the same normals, in the same
-    order, as one draw of all n rotations.
-    """
-    d = a.shape[0]
-    for lo in range(0, n, _MC_BATCH):
-        s = slice(lo, min(lo + _MC_BATCH, n))
-        yield s, _conjugate(_haar_columns(d, s.stop - lo, rng), a, d)
-
-
 def phi_kappa_mc(
     x,
     kappa: Partition | Iterable[int] | Sequence[float],
@@ -838,17 +823,20 @@ def phi_kappa_mc(
 ) -> McEstimate:
     """Haar average Phi_kappa(x) = E[Delta_kappa(u x u^T)], u Haar on O(d).
 
-    Plain Monte Carlo over Haar rotations formed entries first by
-    :func:`~ncwishart.symcore._haar_columns`, in batches of ``_MC_BATCH`` draws (:func:`_haar_conjugates`).  Returns the
-    sample mean with its standard error.
+    Plain Monte Carlo over Haar rotations u formed entries first by
+    :func:`~ncwishart.symcore._haar_columns`, in batches of ``_MC_BATCH``
+    draws.  The batches take their normals from rng one after another,
+    which gives the same normals, in the same order, as one draw of all the
+    rotations.  Returns the sample mean with its standard error.
     """
     n_samples = _count(n_samples, "n_samples", 2)
     a = sym_entries(x)
     d = a.shape[0]
     exps = _minor_exponents(kappa, d)
     vals = np.empty(n_samples)
-    for s, y in _haar_conjugates(a, n_samples, rng):
-        vals[s] = _delta_batch(y, exps)
+    for lo in range(0, n_samples, _MC_BATCH):
+        hi = min(lo + _MC_BATCH, n_samples)
+        vals[lo:hi] = _delta_batch(_conjugate(_haar_columns(d, hi - lo, rng), a, d), exps)
     return _mc_mean(vals)
 
 
@@ -976,9 +964,9 @@ def zonal_lemma_checks(
         closed = zonal_C(a, kap) / float(c_kappa_identity(kap, d))
         m_last = parts[-1]
         inner = Partition(tuple(p - m_last for p in parts[:-1]))
-        inner_row = _layer_data(inner.weight, d - 1)[0].index(inner.parts)
         factor = float(np.linalg.det(a)) ** m_last / float(c_kappa_identity(inner, d - 1))
-        _, values = _layer_values(_block_eigenvalues(ys[: d - 1, : d - 1]), inner.weight)
+        inner_parts, values = _layer_values(_block_eigenvalues(ys[: d - 1, : d - 1]), inner.weight)
+        inner_row = inner_parts.tolist().index(list(inner.padded(d - 1)))
         checks.append(LemmaCheck("haar_closed_form", float(weights @ direct), closed))
         checks.append(LemmaCheck("trailing_part_reduction", factor * float(weights @ values[:, inner_row]), closed))
 

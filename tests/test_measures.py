@@ -325,7 +325,7 @@ def test_reduction_rank_is_the_existence_and_sampler_rank(d, data):
     w = u @ np.diag([0.0] * (d - k) + [10.0**e for e in w_logs]) @ u.T
     p = NcwParams(float(d), w, v @ np.diag([10.0**e for e in sigma_logs]) @ v.T)
     rank = exists_ncw(p).rank
-    means = ncwishart.decompose_w(2.0 * p.w, d).means
+    means = ncwishart.decompose_w(2.0 * p.w, d)
     assert np.count_nonzero(np.any(means != 0.0, axis=1)) == rank
     try:
         red = reduce_to_canonical(p)
@@ -509,10 +509,27 @@ def test_entries_past_half_the_double_range_warn_nowhere():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(sym_entries(x), x)
-        with pytest.raises(DomainError, match="2 sigma s"):
-            laplace_ncw(x, NcwParams(2.0, np.eye(2)))
+        # det(I + 2 x) is past the double range and the transform below it
+        assert laplace_ncw(x, NcwParams(2.0, np.eye(2))) == 0.0
         # det x is past the double range and the transform below it
         assert laplace_m(x, (2.0, 1, 2)) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_laplace_ncw_past_the_double_range_of_i_plus_2_sigma_s():
+    # (1 + 2e308)^(-1/2) e^(-2 s w / (1 + 2 s)), with 1 + 2 s past the range,
+    # is e^(-1/2) / (sqrt(2) 1e154) = 4.2888194248035340e-155; the value
+    # is the exp of a log near -355, good to a few ulp of that log
+    value = laplace_ncw([[1e308]], NcwParams(1.0, [[0.5]]))
+    assert value == pytest.approx(math.exp(-0.5) / math.sqrt(2.0) * 1e-154, rel=4 * 355 * 2.0**-52, abs=0)
+    assert value == pytest.approx(4.288819424803623e-155, rel=1e-14, abs=0)
+    # a direction in range beside it keeps its own factor 3^(-1/2) e^(-1/3)
+    value = laplace_ncw(np.diag([1e308, 1.0]), NcwParams(1.0, 0.5 * np.eye(2)))
+    expected = math.exp(-0.5) / math.sqrt(2.0) * 1e-154 * math.exp(-1.0 / 3.0) / math.sqrt(3.0)
+    assert value == pytest.approx(expected, rel=4 * 355 * 2.0**-52, abs=0)
+    # 2 sigma itself leaves the range, whatever s is
+    with pytest.raises(DomainError, match="2 sigma s exceeds the double range"):
+        laplace_ncw(np.eye(1), NcwParams(1.0, [[0.5]], [[1e308]]))
 
 
 def test_laplace_m_of_a_numerically_singular_s_is_a_domain_error():
@@ -601,9 +618,10 @@ def test_gathered_log_gammas_equal_multivariate_gamma(d):
     for p in ((d - 1) / 2.0, (d - 1) / 2.0 - 2.5e-10, d / 2.0 - 0.25, (d + 3.7) / 2.0, 0.1):
         in_order = _log_multivariate_gammas(p, d)
         top_first = _log_multivariate_gammas(p, d)
-        top_first(zonal._layer_data(24, d)[1])
+        top_first(zonal._layer_values(np.ones(d), 24)[0])
         for weight in range(25):
-            kappas, parts = zonal._layer_data(weight, d)[:2]
+            parts = zonal._layer_values(np.ones(d), weight)[0]
+            kappas = list(zonal.zonal_layer(np.ones(d), weight))
             for got in (in_order(parts), top_first(parts)):
                 for kappa, value in zip(kappas, got.tolist()):
                     try:

@@ -46,15 +46,16 @@ def spd(rng, d, lo=0.5, hi=2.0):
 def test_decompose_w_reconstructs_exactly(rng):
     vecs = rng.standard_normal((2, 4))
     w = vecs.T @ vecs
-    dec = decompose_w(w, 3)
-    assert dec.count == 3 and dec.dim == 4
-    assert np.allclose(dec.assemble(), w, atol=1e-12)
+    means = decompose_w(w, 3)
+    assert means.shape == (3, 4)
+    assert np.allclose(means.T @ means, w, atol=1e-12)
     # rows beyond the rank are zero padding
-    assert np.all(dec.means[2] == 0.0)
+    assert np.all(means[2] == 0.0)
 
 
 def test_decompose_w_zero_and_errors(rng):
-    assert np.all(decompose_w(np.zeros((3, 3)), 2).means == 0.0)
+    means = decompose_w(np.zeros((3, 3)), 2)
+    assert means.shape == (2, 3) and np.all(means == 0.0)
     vecs = rng.standard_normal((3, 3))
     with pytest.raises(RankExceedsShapeError):
         decompose_w(vecs.T @ vecs + np.eye(3), 2)
@@ -95,7 +96,7 @@ def test_ncw_sample_equals_batched_einsum_reference(d):
         # the batched einsum, symmetrized, on the same stream, with every
         # normal of every draw coloured by one flat product
         z = np.random.default_rng(11).standard_normal((500, n, d))
-        means = decompose_w(2.0 * params.w, n).means
+        means = decompose_w(2.0 * params.w, n)
         chol = np.linalg.cholesky(params.sigma)
         ref = _gram((z.reshape(-1, d) @ chol.T).reshape(500, n, d) + means)
         assert np.array_equal(draws, ref)

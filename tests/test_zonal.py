@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -356,10 +357,11 @@ def test_hook_norms_are_the_exact_norms_rounded():
 
 def test_layer_data_reverses_the_table_columns(monkeypatch):
     """The reversed copy equals the dict remap into np.unique order, in value and in layout."""
-    monkeypatch.setattr(zonal, "_LAYERS", {})
+    monkeypatch.setattr(zonal, "_LADDERS", {})
     for d in range(1, 6):
+        coeffs = zonal._ladder(29, d).coeffs
         for weight in range(30):
-            coeff = zonal._layer_data(weight, d)[2]
+            coeff = coeffs[weight]
             ref = _layer_coeff_remap(weight, d)
             assert coeff.strides == ref.strides, (weight, d)
             assert coeff.tobytes() == ref.tobytes(), (weight, d)
@@ -383,11 +385,11 @@ def test_hook_norm_equals_sum_rule_back_substitution():
             assert _hook_norm(lam) == acc, lam
 
 
-def test_series_evaluation_builds_no_tables(monkeypatch):
-    monkeypatch.setattr(zonal, "_LAYERS", {})
+def test_cold_series_evaluations_fill_the_cache_of_their_dimension(monkeypatch):
+    monkeypatch.setattr(zonal, "_LADDERS", {})
     assert density_m_fullrank(np.diag([0.3, 0.5, 0.7, 0.9, 1.1]), 6.5) > 0
     assert density_fd(np.diag([0.5, 1.0, 1.5, 2.0])) > 0
-    assert zonal._LAYERS
+    assert zonal._LADDERS.keys() == {4, 5}
 
 
 def test_monomial_coefficients_sum_rule_columns():
@@ -548,21 +550,34 @@ def test_block_eigenvalues_match_eigvalsh(rng):
 
 @pytest.mark.parametrize("weight,d", [(0, 3), (7, 1), (12, 2), (24, 3), (22, 4), (18, 5)])
 def test_flat_gather_equals_fancy_gather(rng, weight, d):
-    """The flat-index take gathers what powers[rows, exponents] did, bit for bit."""
+    """The flat-index take gathers what powers[exponents, slots] does, bit for bit.
+
+    The cache runs past the layer and the power table has rows to spare:
+    an index a_i d + i does not depend on either.
+    """
     eigs = rng.uniform(0.2, 2.0, d)
-    flat = zonal._layer_data(weight, d)[3]
-    powers = eigs[:, None] ** np.arange(weight + 1)
+    ladder = zonal._ladder(weight + 3, d)
+    flat = ladder.flat[:, ladder.cols[weight] : ladder.cols[weight + 1]]
+    powers = eigs ** np.arange(weight + 5)[:, None]
     exps = zonal._compositions(weight, d).T.astype(np.min_scalar_type(weight))
-    fancy = powers[np.arange(d)[:, None], exps]
+    fancy = powers[exps, np.arange(d)[:, None]]
     taken = powers.ravel().take(flat)
     assert np.array_equal(taken, fancy)
     assert np.array_equal(np.prod(taken, axis=0), np.prod(fancy, axis=0))
+    # the gather at a stack of points, each row against plain numpy products and sums
+    points = np.stack([eigs, eigs[::-1], 0.5 * eigs])
+    got = zonal._monomials(points, ladder, weight, weight + 1).reshape(len(points), -1)
+    lam = ladder.lam_index[ladder.cols[weight] : ladder.cols[weight + 1]] - ladder.rows[weight]
+    for point, row in zip(points, got):
+        products = np.prod((point ** np.arange(weight + 1)[:, None])[exps, np.arange(d)[:, None]], axis=0)
+        assert row.tobytes() == np.bincount(lam, weights=products, minlength=row.size).tobytes()
 
 
 def test_layer_index_is_uint16_and_small():
-    _, parts, _, flat, _ = zonal._layer_data(28, 5)
-    assert flat.dtype == np.uint16
-    assert flat.nbytes + parts.nbytes < 2**20
+    ladder = zonal._ladder(28, 5)
+    assert ladder.flat.dtype == np.uint16
+    # the compositions of all 29 layers, 237,336 of them
+    assert ladder.flat.nbytes + ladder.parts.nbytes < 2**22
 
 
 def _c_kappa_identity_fractions(kappa, d: int) -> Fraction:
@@ -999,8 +1014,14 @@ _WALK_TOP = {1: 40, 2: 40, 3: 40, 4: 20, 5: 20}
 
 
 @functools.cache
-def _walk_tables() -> dict:
-    return {(w, d): zonal._layer_data(w, d) for d, top in _WALK_TOP.items() for w in range(top + 1)}
+def _walk_ladder(d: int) -> "zonal._Ladder":
+    """The cache of dimension d through _WALK_TOP[d]; the module's own is left as it was."""
+    saved = zonal._LADDERS
+    zonal._LADDERS = {}
+    try:
+        return zonal._ladder(_WALK_TOP[d], d)
+    finally:
+        zonal._LADDERS = saved
 
 
 def _walk_weights(d: int, p: float) -> list:
@@ -1027,63 +1048,126 @@ def _one_layer_walk(eigs: np.ndarray, weights, top: int) -> list[float]:
     return out
 
 
-@pytest.mark.parametrize("cached", ["none", "even weights", "all"])
+def _spy_on(monkeypatch, name: str) -> list:
+    """Record the last two arguments of every call of zonal.<name>.
+
+    Those are (weight, max_length) of a _coeff_matrix build and the layers
+    (start, stop) of a _monomials gather.
+    """
+    calls = []
+    real = getattr(zonal, name)
+
+    def spy(*args):
+        calls.append(args[-2:])
+        return real(*args)
+
+    monkeypatch.setattr(zonal, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("cached", ["none", "partial", "all"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_chunked_walk_equals_one_layer_walk_bit_for_bit(monkeypatch, d, cached):
     top = _WALK_TOP[d]
-    tables = _walk_tables()
-    start = {"none": (), "even weights": range(0, top + 1, 2), "all": range(top + 1)}[cached]
     rng = np.random.default_rng(d)
     eigs = np.sort(rng.uniform(0.2, 2.5, d))
     factories = _walk_weights(d, (d - 1 + rng.uniform(0.25, 1.5)) / 2.0)
-    monkeypatch.setattr(zonal, "_LAYERS", dict(tables))
+    monkeypatch.setattr(zonal, "_LADDERS", {d: _walk_ladder(d)})
     expected = [[v.hex() for v in _one_layer_walk(eigs, make(), top)] for make in factories]
-    monkeypatch.setattr(zonal, "_LAYERS", {(w, d): tables[w, d] for w in start})
-    monkeypatch.setattr(zonal, "_CHUNKS", {})
-    # the first pass builds the missing tables and chunks, the second reuses them
+    monkeypatch.setattr(zonal, "_LADDERS", {})
+    if cached != "none":
+        zonal._ladder({"partial": top // 2 - 1, "all": top}[cached], d)
+    gathers = _spy_on(monkeypatch, "_monomials")
+    # the first pass builds the missing tables, the second reads the cache
     for _ in range(2):
+        gathers.clear()
         for make, ref in zip(factories, expected):
             got = itertools.islice(zonal._weighted_layers(eigs, make()), top + 1)
             assert [v.hex() for v in got] == ref, (d, cached)
-    assert zonal._CHUNKS  # the light early layers joined into chunks
+    assert len(zonal._LADDERS[d].coeffs) == top + 1
+    # the light early layers shared gathers
+    assert len(gathers) < len(factories) * (top + 1)
 
 
 def test_walk_builds_exactly_the_tables_it_pulls(monkeypatch):
-    tables = _walk_tables()
     d = 3
     eigs = np.array([0.4, 0.9, 1.7])
-    for start in [(), range(0, 41, 2), range(21)]:
+    builds = _spy_on(monkeypatch, "_coeff_matrix")
+    for cached in (0, 11, 21):  # layers cached before the walk
         for pulled in (0, 1, 5, 13, 30, 41):
-            cached = {(w, d): tables[w, d] for w in start}
-            monkeypatch.setattr(zonal, "_LAYERS", dict(cached))
-            monkeypatch.setattr(zonal, "_CHUNKS", {})
+            monkeypatch.setattr(zonal, "_LADDERS", {})
+            if cached:
+                zonal._ladder(cached - 1, d)
+            builds.clear()
             list(itertools.islice(zonal._weighted_layers(eigs, measures._fd_kappas), pulled))
-            assert zonal._LAYERS.keys() == cached.keys() | {(w, d) for w in range(pulled)}, (start, pulled)
+            assert [w for w, _ in builds] == list(range(cached, pulled)), (cached, pulled)
+            have = len(zonal._LADDERS[d].coeffs) if d in zonal._LADDERS else 0
+            assert have == max(cached, pulled), (cached, pulled)
+
+
+def test_cold_zonal_layer_builds_exactly_the_layers_through_its_weight(monkeypatch):
+    monkeypatch.setattr(zonal, "_LADDERS", {})
+    builds = _spy_on(monkeypatch, "_coeff_matrix")
+    zonal_layer(np.array([0.5, 1.0, 1.5]), 7)
+    assert builds == [(w, min(w, 3)) for w in range(8)]
+    zonal_layer(np.array([0.2, 0.3, 0.4]), 5)  # already cached
+    zonal_layer(np.array([0.5, 1.0, 1.5]), 9)
+    zonal_layer(np.array([0.5, 1.5]), 2)  # another dimension, another cache
+    assert builds[8:] == [(8, 3), (9, 3), (0, 0), (1, 1), (2, 2)]
+    assert {d: len(ladder.coeffs) for d, ladder in zonal._LADDERS.items()} == {3: 10, 2: 3}
+
+
+def test_racing_threads_never_leave_a_shorter_cache(monkeypatch):
+    """A thread that ends its growth of the cache after a longer grower keeps the longer cache."""
+    monkeypatch.setattr(zonal, "_LADDERS", {})
+    paused, resume = threading.Event(), threading.Event()
+    real = zonal._coeff_matrix
+
+    def pausing(weight, max_length):
+        if threading.current_thread().name == "short" and weight == 5:
+            paused.set()
+            assert resume.wait(timeout=60)
+        return real(weight, max_length)
+
+    monkeypatch.setattr(zonal, "_coeff_matrix", pausing)
+    got = []
+    short = threading.Thread(target=lambda: got.append(zonal._ladder(10, 3)), name="short")
+    short.start()
+    try:
+        # the short grower waits in its build of layer 5 while this one grows to 20
+        assert paused.wait(timeout=60)
+        long = zonal._ladder(20, 3)
+    finally:
+        resume.set()
+        short.join(timeout=60)
+    assert not short.is_alive()
+    assert zonal._LADDERS[3] is long
+    assert got == [long]
 
 
 @pytest.mark.filterwarnings("error")
 def test_walk_ahead_of_the_caller_overflows_without_a_warning(monkeypatch):
     """Layers 11 and up overflow at these eigenvalues; a caller stopping at 8 sees nothing of them."""
-    tables = _walk_tables()
-    monkeypatch.setattr(zonal, "_LAYERS", {(w, 2): tables[w, 2] for w in range(21)})
-    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    monkeypatch.setattr(zonal, "_LADDERS", {2: _walk_ladder(2)})
+    gathers = _spy_on(monkeypatch, "_monomials")
     eigs = np.array([1e30, 2e30])
-    assert len(zonal._chunk_data(0, 2)[3]) > 11  # the first chunk reaches past the overflow
     ones = lambda parts: np.ones(len(parts))  # noqa: E731
     got = list(itertools.islice(zonal._weighted_layers(eigs, ones), 9))
+    assert gathers[0] == (0, 12)  # the first chunk reaches past the overflow
     assert got == _one_layer_walk(eigs, ones, 8)
     assert all(math.isfinite(v) for v in got)
     assert exp_trace_partial_sum(eigs, 8) == sum(got)
 
 
 def test_walks_in_threads_equal_walks_in_one_thread(monkeypatch):
-    """Threads that share the table and chunk caches, and race to fill them, get the same bits."""
+    """Threads that share the caches, and race to grow them, get the same bits."""
     rng = np.random.default_rng(27)
     points = [np.diag(rng.uniform(0.3, 1.5, d)) for d in (2, 3, 4) for _ in range(8)]
     series = [density_fd, lambda t: density_m_fullrank(t, len(t) - 0.5)]
+    monkeypatch.setattr(zonal, "_LADDERS", {})
     expected = [f(t).hex() for t in points for f in series]
-    monkeypatch.setattr(zonal, "_LAYERS", {})
-    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    tops = {d: len(ladder.coeffs) for d, ladder in zonal._LADDERS.items()}
+    monkeypatch.setattr(zonal, "_LADDERS", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1093,14 +1177,14 @@ def test_walks_in_threads_equal_walks_in_one_thread(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(got == expected for got in results)
-    assert zonal._CHUNKS
+    # every cache reached the longest walk of its dimension
+    assert {d: len(ladder.coeffs) for d, ladder in zonal._LADDERS.items()} == tops
 
 
 def test_fd_suite_reports_are_byte_identical_cold_and_warm(monkeypatch):
-    monkeypatch.setattr(zonal, "_LAYERS", {})
-    monkeypatch.setattr(zonal, "_CHUNKS", {})
+    monkeypatch.setattr(zonal, "_LADDERS", {})
     cold = run_suite("fd", RunConfig(seed=0)).to_json(include_timing=False)
-    assert zonal._CHUNKS  # the later walks of the cold run already went by chunks
+    assert zonal._LADDERS
     warm = run_suite("fd", RunConfig(seed=0)).to_json(include_timing=False)
     assert cold == warm
 
