@@ -24,10 +24,12 @@ coordinates, and the derivative identities behind them.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import functools
 import math
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -301,7 +303,12 @@ def laplace_ncw(s, params: NcwParams) -> float:
     exceeds the double range.  Where I + 2 sigma s itself leaves the double
     range, s is divided by a power of two 2^e, which is exact, and the
     transform is read from I / 2^e + 2 sigma s / 2^e: its log-determinant
-    gains d e log 2, and s (I + 2 sigma s)^-1 is unchanged.
+    gains d e log 2, and s (I + 2 sigma s)^-1 is unchanged.  The 2 goes
+    with s, so a sigma past half the double range is covered too.
+
+    The value is exp of its log, so a value v carries a relative error of
+    about |ln v| eps from that step alone: about 8e-14 near 1e-155.  Such
+    values must not be compared at 1e-14.
     """
     s = sym_entries(s, "s")
     d = params.dim
@@ -314,7 +321,8 @@ def laplace_ncw(s, params: NcwParams) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
             b = unit + 2.0 * half @ s @ half
             b = (b + b.T) / 2.0
-            a = unit + 2.0 * params.sigma @ s
+            # 2 s, not 2 sigma: a sigma past half the double range stays finite
+            a = unit + params.sigma @ (2.0 * s)
         if np.all(np.isfinite(b)) and np.all(np.isfinite(a)):
             break
         # the entries of half s half are below d^3 max|sigma| max|s|, so
@@ -336,7 +344,10 @@ def laplace_m(s, spec: MeasureSpec | Sequence) -> float:
     """Laplace transform of m(n, k, d) at a positive definite s.
 
     (det s)^(-n/2) * exp(sum of the k trailing diagonal entries of s^(-1)).
-    Raises DomainError when the value exceeds the double range.
+    Raises DomainError when the value exceeds the double range.  The value
+    is exp of its log, so a value v carries a relative error of about
+    |ln v| eps from that step alone: about 8e-14 near 1e-155.  Such values
+    must not be compared at 1e-14.
     """
     spec = MeasureSpec.of(spec)
     s = sym_entries(s, "s")
@@ -642,8 +653,72 @@ def m122_singular_density(y: float, z: float) -> float:
 # Points per slice of m122_ac_density: the slice's (n_m, slice) power
 # buffer stays within a few MB (n_m is 23-30 on the d2-roundtrip grids and
 # at most 487, where the density reaches the top of the double range), and
-# each slice step is a few whole-slice operations.
+# each slice step is a few whole-slice operations.  The power and row
+# buffers come from the calling thread's workspace (_WORKSPACE below).
 _AC_SLICE = 4096
+
+# Most floats that one thread's workspace keeps between calls: 2^19, or
+# 4 MiB.  A quadrature takes at most 285,120 of them at 1 <= a <= 2.5 and
+# sqrt(b^2 + c^2) <= 0.6 a: its own 144 x 144 node grid and density
+# values, the density's q and 2x grids, (n_m + n_k + 2) slices of
+# _AC_SLICE, with n_m <= 32 and n_k <= 15 there, and the gaps between
+# takes below.  A density call on 4096 points fits while n_m + n_k <= 123;
+# at n_m = 487, near the top of the double range, its power buffer alone
+# is about 16 MB.
+_WORKSPACE_CAP = 2**19
+
+# Consecutive takes from a workspace start _WORKSPACE_COLOUR floats (512
+# bytes) further round a 4 KB page (_WORKSPACE_PAGE floats) from each
+# other.  Their sizes are mostly whole or half pages, so packed back to
+# back the arrays that one loop reads and writes would share their address
+# bits below 4 KB, and an x86 load that matches an earlier store in those
+# bits waits for it ("4K aliasing").  On a 2-vCPU Xeon with AVX-512 and
+# one BLAS thread, a quadrature took 1.72-1.88 ms packed, 1.47-1.55 ms
+# staggered, and 1.49-1.53 ms with fresh arrays that did not fault.
+_WORKSPACE_COLOUR = 64
+_WORKSPACE_PAGE = 512
+
+
+class _Workspace(threading.local):
+    """One thread's scratch memory for m122_ac_density and its quadrature.
+
+    glibc hands freed blocks of a few hundred KB back to the kernel, so a
+    quadrature whose grids and power buffers were allocated afresh on each
+    call page-faulted them in again every time (about 400 minor faults a
+    call, more or fewer with the heap layout that import left behind).
+    Calls take their arrays instead from one buffer per thread, as a stack
+    of frames.  The buffer grows to the largest call seen so far, up to
+    _WORKSPACE_CAP floats; a call that needs more gets arrays of its own
+    for the part past the cap, which go when the call ends.
+    """
+
+    def __init__(self) -> None:
+        self.buf = np.empty(0)
+        self.top = 0
+
+    @contextlib.contextmanager
+    def frame(self):
+        """Yield take(size): flat float arrays that stay valid until the frame closes."""
+        mark = self.top
+        try:
+            yield self._take
+        finally:
+            self.top = mark
+
+    def _take(self, size: int) -> np.ndarray:
+        start = self.top
+        end = start + size
+        if end > self.buf.size:
+            if end > _WORKSPACE_CAP:
+                return np.empty(size)
+            # arrays taken from the old buffer keep it alive until they go
+            self.buf = np.empty(end)
+        # the next take starts one colour further round the page than this one
+        self.top = end + (start + _WORKSPACE_COLOUR - end) % _WORKSPACE_PAGE
+        return self.buf[start:end]
+
+
+_WORKSPACE = _Workspace()
 
 # The most that m122_ac_density's term table may drop in each direction,
 # as a share of the sum: an eighth of the unit roundoff 2^-53.
@@ -725,72 +800,99 @@ def m122_ac_density(p, y=None, z=None) -> float | np.ndarray:
     direction stops where the dropped tail is at most 2^-56 of the sum, at
     every point of the call.  So a point's value does not depend on how
     the points are sliced.  The flattened points are walked in slices
-    of ``_AC_SLICE``, reusing one power buffer and one row buffer.  In a
-    slice the powers (2x/X)^m are running products, the rows are one
-    matrix product g^T (2x/X)^m, and the sum over k is a Horner sum in
-    q/Q.  A scalar is the one-point case of the same walk.  No scaled power
-    exceeds 1, and g is built from running products of term ratios, so at
-    a single point nothing leaves double range before the density does.
-    An array whose largest x and largest q belong to different points can
-    raise near the top of the range although each point alone is finite.
+    of ``_AC_SLICE``.  In a slice the powers (2x/X)^m are running products,
+    the rows are one matrix product g^T (2x/X)^m, and the sum over k is a
+    Horner sum in q/Q.  A scalar is the one-point case of the same walk.
+    No scaled power exceeds 1, and g is built from running products of
+    term ratios, so at a single point nothing leaves double range before
+    the density does.  An array whose largest x and largest q belong to
+    different points can raise near the top of the range although each
+    point alone is finite.
+
+    The q and 2x grids, the power and row buffers and the scaled slices
+    are taken from the calling thread's workspace (``_Workspace``), which
+    keeps at most ``_WORKSPACE_CAP`` floats (4 MiB) between calls, so
+    repeated calls do not page-fault fresh memory in.  The returned array
+    is the call's own.
     """
     if y is None:
         x, y, z = p.x, p.y, p.z
     else:
         x = p
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, z)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        quad = x * x - y * y - z * z
-    if not np.isfinite(quad).all():
-        raise DomainError("the cone coordinates must be finite, with squares within the double range")
-    if (x < 0).any() or (quad < 0).any():
-        raise DomainError("(x, y, z) lies outside the closed cone x >= sqrt(y^2 + z^2)")
-    two_x, q = 2.0 * x.ravel(), quad.ravel()
-    big_x = float(np.max(two_x, initial=0.0))
-    big_q = float(np.max(q, initial=0.0))
-    # The k = 0 terms alone sum to (2/sqrt(pi)) X^(-3/4) I_{3/2}(2 sqrt(X)) at
-    # the point of largest x; past the double range the tables need not be built.
-    if big_x > 1.0:
-        root = 2.0 * math.sqrt(big_x)
-        log_floor = math.log(2.0 / math.sqrt(math.pi) * _ive_three_halves(root)) + root - 0.75 * math.log(big_x)
-        if log_floor > _LOG_DOUBLE_MAX:
-            raise DomainError(f"the density exceeds the double range: its log is above {log_floor:.6g}")
-    scale_x, scale_q = max(big_x, 1.0), max(big_q, 1.0)
-    n_m, n_k = _ac_term_counts(scale_x, scale_q)
-    m = np.arange(n_m, dtype=float)
-    k = np.arange(n_k, dtype=float)
-    g = np.empty((n_m, n_k))
-    g[0, 0] = 1.0 / math.gamma(2.5)
-    g[0, 1:] = scale_q / (k[1:] * (k[1:] + 1.0) * (2.0 * k[1:] + 0.5) * (2.0 * k[1:] + 1.5))
-    g[1:] = scale_x / (m[1:, None] * (m[1:, None] + 2.0 * k + 1.5))
-    n = two_x.size
-    width = min(n, _AC_SLICE)
-    powers = np.empty(n_m * width)
-    rows = np.empty(n_k * width)
-    f = np.empty(n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(g[0], out=g[0])
-        np.cumprod(g, axis=0, out=g)
-        for lo in range(0, n, _AC_SLICE):
-            hi = min(lo + _AC_SLICE, n)
-            u = two_x[lo:hi] / scale_x
-            v = q[lo:hi] / scale_q
-            pw = powers[: n_m * (hi - lo)].reshape(n_m, hi - lo)
-            rw = rows[: n_k * (hi - lo)].reshape(n_k, hi - lo)
-            pw[0] = 1.0
-            for i in range(1, n_m):
-                np.multiply(pw[i - 1], u, out=pw[i])
-            np.matmul(g.T, pw, out=rw)
-            acc = f[lo:hi]
-            acc[:] = rw[-1]
-            for row in rw[-2::-1]:
-                acc *= v
-                acc += row
-        f *= 2.0 / math.sqrt(math.pi)
-    if not np.isfinite(f).all():
-        raise DomainError("the density exceeds the double range")
-    f = f.reshape(x.shape)
+    x, y, z = (np.asarray(v, dtype=float) for v in (x, y, z))
+    shape = np.broadcast_shapes(x.shape, y.shape, z.shape)
+    f = _ac_density(x, y, z, np.empty(math.prod(shape))).reshape(shape)
     return float(f) if f.ndim == 0 else f
+
+
+def _ac_density(x: np.ndarray, y: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The kernel of m122_ac_density: its values at the points (x, y, z), written into out.
+
+    x, y and z are float arrays that broadcast together, and out is a flat
+    float array with one element per point, in C order; out is returned.
+    Every other array bigger than one slice, except the term table, comes
+    from the thread's workspace, so a caller that takes out from the
+    workspace too allocates no grid-sized array per call.
+    """
+    x, y, z = np.broadcast_arrays(x, y, z)
+    n = x.size
+    with _WORKSPACE.frame() as take:
+        quad = take(n).reshape(x.shape)
+        two_x = take(n).reshape(x.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # x^2 - y^2 - z^2, with two_x as the scratch of each square
+            np.multiply(x, x, out=quad)
+            np.subtract(quad, np.multiply(y, y, out=two_x), out=quad)
+            np.subtract(quad, np.multiply(z, z, out=two_x), out=quad)
+        if not np.isfinite(quad).all():
+            raise DomainError("the cone coordinates must be finite, with squares within the double range")
+        if (x < 0).any() or (quad < 0).any():
+            raise DomainError("(x, y, z) lies outside the closed cone x >= sqrt(y^2 + z^2)")
+        np.multiply(2.0, x, out=two_x)
+        two_x, q = two_x.ravel(), quad.ravel()
+        big_x = float(np.max(two_x, initial=0.0))
+        big_q = float(np.max(q, initial=0.0))
+        # The k = 0 terms alone sum to (2/sqrt(pi)) X^(-3/4) I_{3/2}(2 sqrt(X)) at
+        # the point of largest x; past the double range the tables need not be built.
+        if big_x > 1.0:
+            root = 2.0 * math.sqrt(big_x)
+            log_floor = math.log(2.0 / math.sqrt(math.pi) * _ive_three_halves(root)) + root - 0.75 * math.log(big_x)
+            if log_floor > _LOG_DOUBLE_MAX:
+                raise DomainError(f"the density exceeds the double range: its log is above {log_floor:.6g}")
+        scale_x, scale_q = max(big_x, 1.0), max(big_q, 1.0)
+        n_m, n_k = _ac_term_counts(scale_x, scale_q)
+        m = np.arange(n_m, dtype=float)
+        k = np.arange(n_k, dtype=float)
+        g = np.empty((n_m, n_k))
+        g[0, 0] = 1.0 / math.gamma(2.5)
+        g[0, 1:] = scale_q / (k[1:] * (k[1:] + 1.0) * (2.0 * k[1:] + 0.5) * (2.0 * k[1:] + 1.5))
+        g[1:] = scale_x / (m[1:, None] * (m[1:, None] + 2.0 * k + 1.5))
+        width = min(n, _AC_SLICE)
+        powers = take(n_m * width)
+        rows = take(n_k * width)
+        scaled_x, scaled_q = take(width), take(width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.cumprod(g[0], out=g[0])
+            np.cumprod(g, axis=0, out=g)
+            for lo in range(0, n, _AC_SLICE):
+                hi = min(lo + _AC_SLICE, n)
+                u = np.divide(two_x[lo:hi], scale_x, out=scaled_x[: hi - lo])
+                v = np.divide(q[lo:hi], scale_q, out=scaled_q[: hi - lo])
+                pw = powers[: n_m * (hi - lo)].reshape(n_m, hi - lo)
+                rw = rows[: n_k * (hi - lo)].reshape(n_k, hi - lo)
+                pw[0] = 1.0
+                for i in range(1, n_m):
+                    np.multiply(pw[i - 1], u, out=pw[i])
+                np.matmul(g.T, pw, out=rw)
+                acc = out[lo:hi]
+                acc[:] = rw[-1]
+                for row in rw[-2::-1]:
+                    acc *= v
+                    acc += row
+            out *= 2.0 / math.sqrt(math.pi)
+    if not np.isfinite(out).all():
+        raise DomainError("the density exceeds the double range")
+    return out
 
 
 def m111_density(lam: float) -> float:

@@ -1,6 +1,10 @@
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -527,9 +531,10 @@ def test_laplace_ncw_past_the_double_range_of_i_plus_2_sigma_s():
     value = laplace_ncw(np.diag([1e308, 1.0]), NcwParams(1.0, 0.5 * np.eye(2)))
     expected = math.exp(-0.5) / math.sqrt(2.0) * 1e-154 * math.exp(-1.0 / 3.0) / math.sqrt(3.0)
     assert value == pytest.approx(expected, rel=4 * 355 * 2.0**-52, abs=0)
-    # 2 sigma itself leaves the range, whatever s is
-    with pytest.raises(DomainError, match="2 sigma s exceeds the double range"):
-        laplace_ncw(np.eye(1), NcwParams(1.0, [[0.5]], [[1e308]]))
+    # 2 sigma itself leaves the range: (1 + 2e308)^(-1/2) e^(-1 / (1 + 2e308))
+    # is 7.0710678118654752e-155, again the exp of a log near -355
+    value = laplace_ncw(np.eye(1), NcwParams(1.0, [[0.5]], [[1e308]]))
+    assert value == pytest.approx(7.0710678118654752e-155, rel=4 * 355 * 2.0**-52, abs=0)
 
 
 def test_laplace_m_of_a_numerically_singular_s_is_a_domain_error():
@@ -958,12 +963,13 @@ def test_m122_ac_density_matches_reference_at_quadrature_nodes(monkeypatch):
 
     calls = []
 
-    def recording(xs, r, z):
-        value = m122_ac_density(xs, r, z)
-        calls.append((xs, r, z, value))
+    def recording(xs, r, z, out):
+        value = measures._ac_density(xs, r, z, out)
+        # xs and out are workspace memory, which the quadrature overwrites
+        calls.append((xs.copy(), r, z, value.reshape(xs.shape).copy()))
         return value
 
-    monkeypatch.setattr(verify, "m122_ac_density", recording)
+    monkeypatch.setattr(verify, "_ac_density", recording)
     for a, b, c in _D2_ROUNDTRIP_POINTS:
         verify.m122_lt_quadrature(a, b, c)
     n_rho, n_x = verify._QUAD_N_RHO * verify._QUAD_ORDER, verify._QUAD_N_X * verify._QUAD_ORDER
@@ -971,6 +977,7 @@ def test_m122_ac_density_matches_reference_at_quadrature_nodes(monkeypatch):
     assert sum(value.size for *_, value in calls) == 5 * n_rho * n_x
     for xs, r, z, value in calls:
         assert value.shape == (n_rho, n_x)
+        assert np.array_equal(value, m122_ac_density(xs, r, z))
         xs, r, z = np.broadcast_arrays(xs, r, z)
         nodes = zip(xs.ravel().tolist(), r.ravel().tolist(), z.ravel().tolist())
         expected = np.array([_m122_ac_reference(*node) for node in nodes])
@@ -1073,6 +1080,142 @@ def test_m122_ac_density_huge_argument_is_finite_or_domain_error(x, frac):
         except DomainError:
             continue
         assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0)
+
+
+# The per-thread workspace of m122_ac_density and m122_lt_quadrature
+
+
+def _workspace_cases():
+    """Densities on a d2-roundtrip node grid and on a 3-slice array, and the d2-roundtrip quadratures."""
+    import math
+
+    import numpy as np
+
+    from ncwishart import m122_ac_density, measures, verify
+
+    points = [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]
+    a, b, c = points[4]
+    rho, _ = verify._panel_rule(0.0, 9.0 / (a - math.hypot(b, c)), verify._QUAD_N_RHO)
+    t_nodes, _ = verify._panel_rule(0.0, 9.0 / a + 8.0 / (a * a), verify._QUAD_N_X)
+    rng = np.random.default_rng(29)
+    n = 2 * measures._AC_SLICE + 123
+    x = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), n))
+    radius, angle = x * rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+    return [
+        m122_ac_density(rho[:, None] + t_nodes, rho[:, None], 0.0),
+        m122_ac_density(x, radius * np.cos(angle), radius * np.sin(angle)),
+        np.array([verify.m122_lt_quadrature(*point) for point in points]),
+    ]
+
+
+def _in_new_thread(fn):
+    """fn() in a thread of its own, so with a workspace of its own; returns its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(out) == 1
+    return out[0]
+
+
+def test_workspace_reuse_keeps_the_bits_of_a_fresh_process():
+    script = inspect.getsource(_workspace_cases) + "for v in _workspace_cases():\n    print(v.tobytes().hex())\n"
+    src = os.path.dirname(os.path.dirname(ncwishart.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    fresh = run.stdout.split()
+
+    def after_smaller_and_after_larger():
+        m122_ac_density(np.linspace(1.0, 2.0, 10), 0.5, 0.0)
+        grown = _workspace_cases()  # the workspace grows inside these calls
+        size = measures._WORKSPACE.buf.size
+        m122_ac_density(np.linspace(1.0, 30.0, 60_000), 0.5, 0.0)
+        assert measures._WORKSPACE.buf.size > size
+        return grown, _workspace_cases()  # the views now sit in a larger buffer
+
+    for values in _in_new_thread(after_smaller_and_after_larger):
+        assert [v.tobytes().hex() for v in values] == fresh
+
+
+def test_workspace_threads_give_the_serial_bits():
+    from ncwishart import verify
+
+    def job(i):
+        x = np.linspace(0.01, 5.0 + 10.0 * i, 9000 + 1000 * i)
+        return [m122_ac_density(x, 0.3 * x, 0.1 * x), verify.m122_lt_quadrature(*_D2_ROUNDTRIP_POINTS[i])]
+
+    serial = [job(i) for i in range(4)]
+    barrier = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def run(i):
+        barrier.wait(timeout=60)
+        for _ in range(4):
+            results[i].append(job(i))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert len(results[i]) == 4
+        for density, quad in results[i]:
+            assert np.array_equal(density, serial[i][0]) and quad == serial[i][1]
+
+
+def test_workspace_past_the_cap_keeps_no_more_than_the_cap(monkeypatch):
+    # 4096 points on the sheet up to x = 6e4: n_m = 469, a power buffer of
+    # 469 x 4096 floats, past the cap
+    x = np.linspace(1.0, 6e4, measures._AC_SLICE)
+    n_m, _ = measures._ac_term_counts(2.0 * x[-1], 1.0)
+    assert n_m * x.size > measures._WORKSPACE_CAP
+
+    def run():
+        m122_ac_density(x[:100], x[:100], 0.0)
+        kept = measures._WORKSPACE.buf.size
+        value = m122_ac_density(x, x, 0.0)
+        return kept, measures._WORKSPACE.buf.size, measures._WORKSPACE.top, value
+
+    kept, size, top, value = _in_new_thread(run)
+    assert 0 < kept <= size <= measures._WORKSPACE_CAP and top == 0
+    # the arrays of its own give the bits of a workspace that holds the whole call
+    monkeypatch.setattr(measures, "_WORKSPACE_CAP", 2**23)
+    assert np.array_equal(_in_new_thread(lambda: m122_ac_density(x, x, 0.0)), value)
+
+
+def test_workspace_takes_start_at_distinct_places_round_a_page():
+    # whole-page arrays packed back to back would all share their low 12
+    # address bits, which costs a quadrature about 15% on x86
+    def run():
+        with measures._WORKSPACE.frame() as take:
+            arrays = [take(size) for size in (20736, 20736, 30 * 4096, 12 * 4096, 4096, 4096, 1, 512)]
+            base = measures._WORKSPACE.buf.ctypes.data
+            return [(a.ctypes.data - base) % 4096 for a in arrays]
+
+    offsets = _in_new_thread(lambda: (run(), run())[1])  # the second run after the buffer has grown
+    assert len(set(offsets)) == len(offsets)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor faults as Linux reports them")
+def test_warm_quadrature_calls_take_almost_no_minor_faults():
+    resource = pytest.importorskip("resource")
+    from ncwishart import verify
+
+    for point in _D2_ROUNDTRIP_POINTS:  # one warm-up round grows the workspace
+        verify.m122_lt_quadrature(*point)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for i in range(10):
+        verify.m122_lt_quadrature(*_D2_ROUNDTRIP_POINTS[i % 5])
+    # fresh grids and power buffers took about 4,000 at most heap layouts
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def test_ive_three_halves_matches_scipy():
