@@ -29,7 +29,6 @@ import numpy.random  # noqa: F401  numpy loads np.random on first use; load it h
 
 from .measures import (
     _LOG_DOUBLE_MAX,
-    _WORKSPACE,
     MeasureSpec,
     NcwParams,
     _ac_density,
@@ -273,13 +272,8 @@ def check_zonal_lemma_mc(config: RunConfig) -> list[CheckRecord]:
 # d = 2 critical shape quadrature
 
 
-# The rule of m122_lt_quadrature: Gauss-Legendre panels in rho and in x,
-# with _QUAD_ORDER points each, and _QUAD_N_THETA trapezoid points in angle.
-_QUAD_N_RHO = 18
-_QUAD_N_X = 18
+# The reference rule on [-1, 1] of _panel_rule, built once.
 _QUAD_ORDER = 8
-_QUAD_N_THETA = 64
-# The reference rule on [-1, 1], built once.
 _LEGENDRE_X, _LEGENDRE_W = np.polynomial.legendre.leggauss(_QUAD_ORDER)
 
 
@@ -331,55 +325,90 @@ def m111_lt_quadrature(s: float) -> float:
     return val
 
 
+# The rule of m122_lt_quadrature: _QUAD_NODES-point Gauss-Laguerre in rho
+# and in t = x - rho, built once, and a trapezoid rule in the angle.
+# Measured against the closed transform on a grid of 41 a, 31 ratios
+# sqrt(b^2 + c^2) / a and 2 directions, 24 nodes are within 1.6e-11 for
+# 0.1 <= a <= 1e4 and sqrt(b^2 + c^2) <= 0.6 a (5.3e-12 at a <= 2.5,
+# 7.6e-14 at sqrt(b^2 + c^2) <= 0.5 a).  Past that the error grows towards the
+# edge of the cone: 4e-8 at (1, 0.8, 0), 1e-5 at (100, 80, 0), 9e-7 at
+# (3, 0, 2.9), and it is not bounded as the edge or a -> 0 is approached.
+_QUAD_NODES = 24
+_LAGUERRE_U, _LAGUERRE_W = np.polynomial.laguerre.laggauss(_QUAD_NODES)
+
+# Angles of m122_lt_quadrature: the fewest of 64, 128, ... for which the
+# aliasing bound below, summed over the rho nodes by their share of the
+# sum, is at most 2^-53.  Past _QUAD_MAX_THETA the call raises DomainError:
+# the angular sum would then cost more than the density grid, and on a grid
+# of a from 0.05 to 1e4 the points that need it lie within 0.5% of the edge
+# (sqrt(b^2 + c^2) >= 0.995 a), where the 24-node rule is off by more
+# than 1e-5 at 10 of the 12 such grid points.  A rule of n angles takes
+# every (_QUAD_MAX_THETA / n)-th angle of one table.
+_QUAD_MIN_THETA = 64
+_QUAD_MAX_THETA = 1024
+_THETA = np.linspace(0.0, 2.0 * math.pi, _QUAD_MAX_THETA, endpoint=False)
+_COS_THETA, _SIN_THETA = np.cos(_THETA), np.sin(_THETA)
+# e^(-z) I_0(z) sqrt(1 + 2 pi z) lies in [1, 1.313) for every z >= 0.
+_I0E_PROXY_RATIO = 1.313
+
+
+def _angle_count(z: np.ndarray, weight: np.ndarray) -> int:
+    """Trapezoid angles for the means of exp(-z_i (1 + cos theta)) at rho nodes of the given weights.
+
+    The n-angle mean of e^(z cos theta) is I_0(z) + 2 sum_(j>=1) I_(jn)(z)
+    times phases, and I_n(z) / I_0(z) <= exp(-phi_n(z)) with phi_n(z) =
+    n asinh(n/z) - sqrt(n^2 + z^2) + z: the product over v < n of the
+    ratio bound I_(v+1) / I_v <= z / (v + 1/2 + sqrt((v + 1/2)^2 + z^2)) =
+    exp(-asinh((v + 1/2) / z)), whose log sum is at least its integral, as
+    asinh is concave.  phi_(jn) >= j phi_n, so the relative error of a
+    node's mean is at most 2 e^(-phi) / (1 - e^(-phi)).  weight is each
+    node's term of the sum with its angular mean replaced by the proxy
+    1 / sqrt(1 + 2 pi z), which is within _I0E_PROXY_RATIO of e^(-z) I_0(z)
+    from below, so the bound holds for the sum with the true means.
+    """
+    n = _QUAD_MIN_THETA
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while True:
+            phi = n * np.arcsinh(n / z) - n * n / (np.hypot(n, z) + z)
+            alias = np.exp(-phi)
+            if _I0E_PROXY_RATIO * float(weight @ (2.0 * alias / (1.0 - alias))) <= 2.0**-53 * float(weight.sum()):
+                return n
+            n *= 2
+            if n > _QUAD_MAX_THETA:
+                raise DomainError(f"the angular rule needs more than {_QUAD_MAX_THETA} angles this near the edge")
+
+
 def m122_lt_quadrature(a: float, b: float, c: float) -> float:
-    """3-D quadrature of the decomposed m(1, 2, 2) transform.
+    """3-D quadrature of the decomposed m(1, 2, 2) transform at a > sqrt(b^2 + c^2).
 
     Integrates exp(-2(ax + by + cz)) against the singular sheet plus the
     interior density in the polar coordinates (x, rho, theta) of the cone
-    of revolution: Gauss-Legendre panels in x and rho, trapezoid in the
-    periodic angle.  The interior density is one call of m122_ac_density's
-    kernel on the whole (rho, x) node grid, _QUAD_N_RHO * _QUAD_ORDER by
-    _QUAD_N_X * _QUAD_ORDER points.  The grid, its weights and the density
-    values live in the thread's workspace (measures._Workspace), so a call
-    allocates no grid-sized array.  Requires a > sqrt(b^2 + c^2) with
-    enough margin for the truncated domain to carry the mass.
+    of revolution, with x = rho + t.  With beta = sqrt(b^2 + c^2) the
+    integrand carries e^(-2 (a - beta) rho) and e^(-2 a t), and each is
+    the weight of a _QUAD_NODES-point Gauss-Laguerre rule, in u = 2 (a -
+    beta) rho and in u = 2 a t.  What is left of the exponent is the
+    angular mean of exp(-2 rho (beta + b cos + c sin)), which is at most 1
+    and is a trapezoid sum over a power-of-two count of angles taken from
+    an aliasing bound (_angle_count).  The interior density is one call of
+    m122_ac_density's kernel on the 24 x 24 (rho, t) node grid.  The range
+    over which the rule holds is stated at _QUAD_NODES; a point too near
+    the edge for _QUAD_MAX_THETA angles raises DomainError.
     """
     beta = math.hypot(b, c)
     margin = a - beta
-    if margin <= 0:
+    if not margin > 0:
         raise DomainError("need a > sqrt(b^2 + c^2)")
-    rho_max = 9.0 / margin
-    x_tail = 9.0 / a + 8.0 / (a * a)
-
-    theta = np.linspace(0.0, 2.0 * math.pi, _QUAD_N_THETA, endpoint=False)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
-    rho, w_rho = _panel_rule(0.0, rho_max, _QUAD_N_RHO)
-    # angular factor integral(exp(-2 rho (b cos + c sin))) d theta
-    ang = (2.0 * math.pi) * np.exp(
-        -2.0 * rho[:, None] * (b * cos_t + c * sin_t)[None, :]
-    ).mean(axis=1)
-
-    sheet = float(
-        np.sum(
-            w_rho
-            * np.exp(-2.0 * a * rho)
-            * np.array([m122_singular_density(r, 0.0) for r in rho])
-            * rho
-            * ang
-        )
-    )
-
-    t_nodes, w_t = _panel_rule(0.0, x_tail, _QUAD_N_X)
-    with _WORKSPACE.frame() as take:
-        # One density call on the whole (rho, x) grid; row i is the x line at rho[i].
-        xs = np.add(rho[:, None], t_nodes, out=take(rho.size * t_nodes.size).reshape(rho.size, t_nodes.size))
-        density = _ac_density(xs, rho[:, None], 0.0, take(xs.size)).reshape(xs.shape)
-        # the weights exp(-2 a xs) overwrite xs, which the density has done with
-        weights = np.exp(np.multiply(-2.0 * a, xs, out=xs), out=xs)
-        inner = np.multiply(weights, density, out=weights) @ w_t
-    interior = float(np.sum(w_rho * rho * ang * inner))
-    return sheet + interior
+    rho = _LAGUERRE_U / (2.0 * margin)
+    t_nodes = _LAGUERRE_U / (2.0 * a)
+    sheet = np.array([m122_singular_density(r, 0.0) for r in rho])
+    # One density call on the whole (rho, t) grid; row i is the x line at rho[i].
+    inner = _ac_density(rho[:, None] + t_nodes, rho[:, None], 0.0) @ (_LAGUERRE_W / (2.0 * a))
+    radial = (_LAGUERRE_W / (2.0 * margin)) * rho * (sheet + inner)
+    z = 2.0 * beta * rho
+    step = _QUAD_MAX_THETA // _angle_count(z, radial / np.sqrt(1.0 + 2.0 * math.pi * z))
+    phase = beta + b * _COS_THETA[::step] + c * _SIN_THETA[::step]
+    ang = (2.0 * math.pi) * np.exp(-2.0 * rho[:, None] * phase).mean(axis=1)
+    return float(radial @ ang)
 
 
 def check_d2_roundtrip(config: RunConfig) -> list[CheckRecord]:
@@ -396,8 +425,13 @@ def check_d2_roundtrip(config: RunConfig) -> list[CheckRecord]:
         closed = m122_laplace_cone(a, b, c)
         quad_val = m122_lt_quadrature(a, b, c)
         worst = max(worst, float(abs(quad_val - closed) / closed))
-    detail = f"{len(points)} interior points, polar-coordinate panels"
-    return [_gated("d2-roundtrip", worst, 1e-3, Provenance.QUADRATURE, detail)]
+    detail = (
+        f"{len(points)} interior points, {_QUAD_NODES} x {_QUAD_NODES} Gauss-Laguerre nodes in (rho, x - rho); "
+        "tolerance about twice the rule's largest error at 0.1 <= a <= 2.5, sqrt(b^2 + c^2) <= 0.6 a"
+    )
+    # The points have a <= 2.5 and sqrt(b^2 + c^2) <= 0.59 a, where the rule
+    # reads at most 5.3e-12 against the closed form (_QUAD_NODES).
+    return [_gated("d2-roundtrip", worst, 1e-11, Provenance.QUADRATURE, detail)]
 
 
 def check_m111_lt(config: RunConfig) -> list[CheckRecord]:

@@ -1,10 +1,7 @@
 import inspect
 import itertools
 import math
-import os
-import subprocess
 import sys
-import threading
 import warnings
 from fractions import Fraction
 
@@ -963,20 +960,18 @@ def test_m122_ac_density_matches_reference_at_quadrature_nodes(monkeypatch):
 
     calls = []
 
-    def recording(xs, r, z, out):
-        value = measures._ac_density(xs, r, z, out)
-        # xs and out are workspace memory, which the quadrature overwrites
-        calls.append((xs.copy(), r, z, value.reshape(xs.shape).copy()))
+    def recording(xs, r, z):
+        value = measures._ac_density(xs, r, z)
+        calls.append((xs, r, z, value))
         return value
 
     monkeypatch.setattr(verify, "_ac_density", recording)
     for a, b, c in _D2_ROUNDTRIP_POINTS:
         verify.m122_lt_quadrature(a, b, c)
-    n_rho, n_x = verify._QUAD_N_RHO * verify._QUAD_ORDER, verify._QUAD_N_X * verify._QUAD_ORDER
     assert len(calls) == 5
-    assert sum(value.size for *_, value in calls) == 5 * n_rho * n_x
+    assert sum(value.size for *_, value in calls) == 5 * 24 * 24
     for xs, r, z, value in calls:
-        assert value.shape == (n_rho, n_x)
+        assert value.shape == (24, 24)
         assert np.array_equal(value, m122_ac_density(xs, r, z))
         xs, r, z = np.broadcast_arrays(xs, r, z)
         nodes = zip(xs.ravel().tolist(), r.ravel().tolist(), z.ravel().tolist())
@@ -1007,25 +1002,21 @@ def test_panel_rule_equals_panel_loop_bit_for_bit(a, b, panels):
 
 
 def _m122_lt_quadrature_by_rows(a, b, c):
-    """The d = 2 transform quadrature with one density call per rho row."""
-    from ncwishart import verify
+    """The d = 2 transform quadrature with its own 24-node Laguerre rule, one density call per rho row.
 
-    rho_max = 9.0 / (a - math.hypot(b, c))
-    x_tail = 9.0 / a + 8.0 / (a * a)
-    theta = np.linspace(0.0, 2.0 * math.pi, verify._QUAD_N_THETA, endpoint=False)
-    rho, w_rho = _panel_rule_loop(0.0, rho_max, verify._QUAD_N_RHO, verify._QUAD_ORDER)
-    ang = (2.0 * math.pi) * np.exp(
-        -2.0 * rho[:, None] * (b * np.cos(theta) + c * np.sin(theta))[None, :]
-    ).mean(axis=1)
-    sheet_density = np.array([m122_singular_density(r, 0.0) for r in rho])
-    sheet = float(np.sum(w_rho * np.exp(-2.0 * a * rho) * sheet_density * rho * ang))
-    t_nodes, w_t = _panel_rule_loop(0.0, x_tail, verify._QUAD_N_X, verify._QUAD_ORDER)
-    interior = 0.0
-    for r, wr, angle in zip(rho, w_rho, ang):
-        xs = r + t_nodes
-        inner = float(np.sum(w_t * np.exp(-2.0 * a * xs) * m122_ac_density(xs, r, 0.0)))
-        interior += wr * r * angle * inner
-    return sheet + interior
+    The angular mean of exp(-2 rho (b cos + c sin)) is exact here:
+    I_0(2 rho beta), with beta = sqrt(b^2 + c^2).
+    """
+    u, w = np.polynomial.laguerre.laggauss(24)
+    beta = math.hypot(b, c)
+    total = 0.0
+    for r, wr in zip(u / (2.0 * (a - beta)), w / (2.0 * (a - beta))):
+        xs = r + u / (2.0 * a)
+        # e^(-2 a x) = e^(-2 (a - beta) r) e^(-2 a (x - r)) e^(-2 beta r); the first two are the weights
+        inner = float(np.sum(w / (2.0 * a) * m122_ac_density(xs, r, 0.0)))
+        angular = 2.0 * math.pi * float(special.i0e(2.0 * r * beta))
+        total += wr * r * angular * (m122_singular_density(r, 0.0) + inner)
+    return total
 
 
 @pytest.mark.parametrize("a,b,c", _D2_ROUNDTRIP_POINTS)
@@ -1033,6 +1024,67 @@ def test_m122_lt_quadrature_equals_row_by_row_quadrature(a, b, c):
     from ncwishart import verify
 
     assert verify.m122_lt_quadrature(a, b, c) == pytest.approx(_m122_lt_quadrature_by_rows(a, b, c), rel=1e-14)
+
+
+def test_angle_count_bounds_hold_against_scipy():
+    """I_n(z) / I_0(z) <= exp(-phi_n(z)), and the proxy of e^(-z) I_0(z), as _angle_count uses them."""
+    from ncwishart import verify
+
+    z = np.geomspace(1e-3, 1e6, 400)
+    for n in (64, 128, 256, 512, 1024):
+        phi = n * np.arcsinh(n / z) - n * n / (np.hypot(n, z) + z)
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(special.ive(n, z)) - np.log(special.ive(0, z))
+        assert np.all(log_ratio <= -phi + 1e-12 * (1.0 + phi))
+    z = np.concatenate([[0.0], np.geomspace(1e-8, 1e12, 4001)])
+    ratio = special.i0e(z) * np.sqrt(1.0 + 2.0 * math.pi * z)
+    assert np.all(ratio >= 1.0 - 1e-15) and np.all(ratio < verify._I0E_PROXY_RATIO)
+
+
+# (point, tolerance, angles): a record point, and two points near the edge
+# of the cone, where the 24-node rule reads 7.1e-11 and 9.1e-7
+@pytest.mark.parametrize(
+    "point,tolerance,angles",
+    [((1.2, 0.5, -0.5), 1e-11, 64), ((1.0, 0.95, 0.0), 1e-9, 256), ((3.0, 0.0, 2.9), 1e-5, 256)],
+)
+def test_m122_lt_quadrature_takes_its_angles_from_the_bound(monkeypatch, point, tolerance, angles):
+    from ncwishart import verify
+
+    counts = []
+    count = verify._angle_count
+    monkeypatch.setattr(verify, "_angle_count", lambda z, weight: counts.append(count(z, weight)) or counts[-1])
+    exact = m122_laplace_cone(*point)
+    assert verify.m122_lt_quadrature(*point) == pytest.approx(exact, rel=tolerance)
+    assert counts == [angles]
+    if angles > 64:
+        # 64 angles alias: 1.8e-2 and 9.5e-3 off
+        monkeypatch.setattr(verify, "_angle_count", lambda z, weight: 64)
+        assert abs(verify.m122_lt_quadrature(*point) / exact - 1.0) > 1e-3
+
+
+def test_m122_lt_quadrature_past_the_angle_cap_is_a_domain_error():
+    from ncwishart import verify
+
+    with pytest.raises(DomainError, match="more than 1024 angles"):
+        verify.m122_lt_quadrature(1.0, 0.995, 0.0)
+    for point in [(1.0, 1.0, 0.0), (1.0, 0.6, 0.8), (math.nan, 0.0, 0.0), (1.0, math.inf, 0.0)]:
+        with pytest.raises(DomainError, match="need a >"):
+            verify.m122_lt_quadrature(*point)
+
+
+@pytest.mark.parametrize("fault", ["interior density x 1.002", "no sheet"])
+def test_d2_roundtrip_fails_on_planted_faults(monkeypatch, fault):
+    from ncwishart import verify
+
+    (record,) = verify.check_d2_roundtrip(RunConfig())
+    assert record.passed and record.tolerance == 1e-11
+    if fault == "no sheet":
+        monkeypatch.setattr(verify, "m122_singular_density", lambda y, z: 0.0)
+    else:
+        kernel = verify._ac_density
+        monkeypatch.setattr(verify, "_ac_density", lambda x, y, z: 1.002 * kernel(x, y, z))
+    (record,) = verify.check_d2_roundtrip(RunConfig())
+    assert not record.passed and record.value > 1e-4
 
 
 def test_m122_ac_density_across_slice_boundaries(monkeypatch):
@@ -1082,139 +1134,17 @@ def test_m122_ac_density_huge_argument_is_finite_or_domain_error(x, frac):
         assert np.all(np.isfinite(value)) and np.all(np.asarray(value) > 0)
 
 
-# The per-thread workspace of m122_ac_density and m122_lt_quadrature
-
-
-def _workspace_cases():
-    """Densities on a d2-roundtrip node grid and on a 3-slice array, and the d2-roundtrip quadratures."""
-    import math
-
-    import numpy as np
-
-    from ncwishart import m122_ac_density, measures, verify
-
-    points = [(1.0, 0.2, 0.1), (1.5, -0.4, 0.3), (2.0, 0.0, 0.0), (1.2, 0.5, -0.5), (2.5, 1.0, 0.8)]
-    a, b, c = points[4]
-    rho, _ = verify._panel_rule(0.0, 9.0 / (a - math.hypot(b, c)), verify._QUAD_N_RHO)
-    t_nodes, _ = verify._panel_rule(0.0, 9.0 / a + 8.0 / (a * a), verify._QUAD_N_X)
-    rng = np.random.default_rng(29)
-    n = 2 * measures._AC_SLICE + 123
-    x = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), n))
-    radius, angle = x * rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
-    return [
-        m122_ac_density(rho[:, None] + t_nodes, rho[:, None], 0.0),
-        m122_ac_density(x, radius * np.cos(angle), radius * np.sin(angle)),
-        np.array([verify.m122_lt_quadrature(*point) for point in points]),
-    ]
-
-
-def _in_new_thread(fn):
-    """fn() in a thread of its own, so with a workspace of its own; returns its result."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(fn()))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive() and len(out) == 1
-    return out[0]
-
-
-def test_workspace_reuse_keeps_the_bits_of_a_fresh_process():
-    script = inspect.getsource(_workspace_cases) + "for v in _workspace_cases():\n    print(v.tobytes().hex())\n"
-    src = os.path.dirname(os.path.dirname(ncwishart.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    fresh = run.stdout.split()
-
-    def after_smaller_and_after_larger():
-        m122_ac_density(np.linspace(1.0, 2.0, 10), 0.5, 0.0)
-        grown = _workspace_cases()  # the workspace grows inside these calls
-        size = measures._WORKSPACE.buf.size
-        m122_ac_density(np.linspace(1.0, 30.0, 60_000), 0.5, 0.0)
-        assert measures._WORKSPACE.buf.size > size
-        return grown, _workspace_cases()  # the views now sit in a larger buffer
-
-    for values in _in_new_thread(after_smaller_and_after_larger):
-        assert [v.tobytes().hex() for v in values] == fresh
-
-
-def test_workspace_threads_give_the_serial_bits():
-    from ncwishart import verify
-
-    def job(i):
-        x = np.linspace(0.01, 5.0 + 10.0 * i, 9000 + 1000 * i)
-        return [m122_ac_density(x, 0.3 * x, 0.1 * x), verify.m122_lt_quadrature(*_D2_ROUNDTRIP_POINTS[i])]
-
-    serial = [job(i) for i in range(4)]
-    barrier = threading.Barrier(4)
-    results = [[] for _ in range(4)]
-
-    def run(i):
-        barrier.wait(timeout=60)
-        for _ in range(4):
-            results[i].append(job(i))
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for i in range(4):
-        assert len(results[i]) == 4
-        for density, quad in results[i]:
-            assert np.array_equal(density, serial[i][0]) and quad == serial[i][1]
-
-
-def test_workspace_past_the_cap_keeps_no_more_than_the_cap(monkeypatch):
-    # 4096 points on the sheet up to x = 6e4: n_m = 469, a power buffer of
-    # 469 x 4096 floats, past the cap
-    x = np.linspace(1.0, 6e4, measures._AC_SLICE)
-    n_m, _ = measures._ac_term_counts(2.0 * x[-1], 1.0)
-    assert n_m * x.size > measures._WORKSPACE_CAP
-
-    def run():
-        m122_ac_density(x[:100], x[:100], 0.0)
-        kept = measures._WORKSPACE.buf.size
-        value = m122_ac_density(x, x, 0.0)
-        return kept, measures._WORKSPACE.buf.size, measures._WORKSPACE.top, value
-
-    kept, size, top, value = _in_new_thread(run)
-    assert 0 < kept <= size <= measures._WORKSPACE_CAP and top == 0
-    # the arrays of its own give the bits of a workspace that holds the whole call
-    monkeypatch.setattr(measures, "_WORKSPACE_CAP", 2**23)
-    assert np.array_equal(_in_new_thread(lambda: m122_ac_density(x, x, 0.0)), value)
-
-
-def test_workspace_takes_start_at_distinct_places_round_a_page():
-    # whole-page arrays packed back to back would all share their low 12
-    # address bits, which costs a quadrature about 15% on x86
-    def run():
-        with measures._WORKSPACE.frame() as take:
-            arrays = [take(size) for size in (20736, 20736, 30 * 4096, 12 * 4096, 4096, 4096, 1, 512)]
-            base = measures._WORKSPACE.buf.ctypes.data
-            return [(a.ctypes.data - base) % 4096 for a in arrays]
-
-    offsets = _in_new_thread(lambda: (run(), run())[1])  # the second run after the buffer has grown
-    assert len(set(offsets)) == len(offsets)
-
-
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor faults as Linux reports them")
 def test_warm_quadrature_calls_take_almost_no_minor_faults():
     resource = pytest.importorskip("resource")
     from ncwishart import verify
 
-    for point in _D2_ROUNDTRIP_POINTS:  # one warm-up round grows the workspace
+    for point in _D2_ROUNDTRIP_POINTS:  # one warm-up round
         verify.m122_lt_quadrature(*point)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for i in range(10):
         verify.m122_lt_quadrature(*_D2_ROUNDTRIP_POINTS[i % 5])
-    # fresh grids and power buffers took about 4,000 at most heap layouts
+    # calls that page-faulted their arrays in afresh took about 400 faults each
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
